@@ -45,6 +45,12 @@ fn bench_speed(c: &mut Criterion) {
         b.iter(|| black_box(speed::ycsb_gen_slice(100_000, false)))
     });
 
+    // One cxl-obs handle record into a live scope, amortized over 1M
+    // records (mean_ns / 1e6 is ns per record).
+    g.bench_function("obs_record", |b| {
+        b.iter(|| black_box(speed::obs_record_slice(1_000_000)))
+    });
+
     // Tier-manager touch hot path: touch_batch vs per-op touch over
     // the identical access pattern (pinned equal by touch_props).
     g.bench_function("tier_touch_batched", |b| {

@@ -23,21 +23,50 @@ pub fn json_mode() -> bool {
 ///
 /// Worker count precedence: `--jobs N` (or `--jobs=N`) on the command
 /// line, then the `CXL_JOBS` environment variable, then the machine's
-/// available parallelism. Output is bit-identical for any value.
+/// available parallelism. Output is bit-identical for any value. A
+/// malformed `--jobs` (see [`parse_jobs`]) prints the reason and exits
+/// with status 2.
 pub fn runner_from_args() -> cxl_core::Runner {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let n = if a == "--jobs" {
-            args.next().and_then(|v| v.parse::<usize>().ok())
-        } else {
-            a.strip_prefix("--jobs=")
-                .and_then(|v| v.parse::<usize>().ok())
-        };
-        if let Some(n) = n.filter(|&n| n > 0) {
-            return cxl_core::Runner::new(n);
+    match parse_jobs(std::env::args().skip(1)) {
+        Ok(Some(n)) => cxl_core::Runner::new(n),
+        Ok(None) => cxl_core::Runner::from_env(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     }
-    cxl_core::Runner::from_env()
+}
+
+/// The worker count the first `--jobs N` / `--jobs=N` in `args` asks
+/// for, or `None` when there is none.
+///
+/// # Errors
+///
+/// A zero, non-numeric or missing operand.
+pub fn parse_jobs<I, S>(args: I) -> Result<Option<usize>, String>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        let operand = match a.as_ref() {
+            "--jobs" => args.next().map(|v| v.as_ref().to_string()),
+            a => match a.strip_prefix("--jobs=") {
+                Some(v) => Some(v.to_string()),
+                None => continue,
+            },
+        };
+        let Some(v) = operand else {
+            return Err("--jobs needs a worker count".into());
+        };
+        return match v.parse::<usize>() {
+            Ok(0) => Err("--jobs must be at least 1".into()),
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("--jobs expects a positive integer, got {v:?}")),
+        };
+    }
+    Ok(None)
 }
 
 /// Destination of the metrics export, from `--metrics <path>`,
@@ -81,7 +110,7 @@ pub fn metrics_guard() -> MetricsGuard {
 }
 
 /// RAII handle returned by [`metrics_guard`]; writes the JSON export on
-/// drop.
+/// drop, and exits the process with status 1 if the write fails.
 #[derive(Debug)]
 pub struct MetricsGuard {
     path: Option<std::path::PathBuf>,
@@ -95,7 +124,10 @@ impl Drop for MetricsGuard {
         let json = cxl_obs::global().export_json();
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("# metrics written to {}", path.display()),
-            Err(e) => eprintln!("# failed to write metrics to {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("error: failed to write metrics to {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -160,5 +192,29 @@ mod tests {
         let l = shape_line("MMEM idle latency", "97 ns", "97.0 ns");
         assert!(l.contains("97 ns"));
         assert!(l.contains("measured"));
+    }
+
+    #[test]
+    fn jobs_flag_forms_parse() {
+        assert_eq!(parse_jobs(["--json"]), Ok(None));
+        assert_eq!(parse_jobs(["--jobs", "8"]), Ok(Some(8)));
+        assert_eq!(parse_jobs(["--chart", "--jobs=3"]), Ok(Some(3)));
+        // The first --jobs decides.
+        assert_eq!(parse_jobs(["--jobs", "2", "--jobs", "x"]), Ok(Some(2)));
+    }
+
+    #[test]
+    fn bad_jobs_operands_are_rejected() {
+        for args in [
+            &["--jobs", "0"][..],
+            &["--jobs=0"],
+            &["--jobs", "many"],
+            &["--jobs=-1"],
+            &["--jobs", "--metrics"],
+            &["--jobs="],
+            &["--jobs"],
+        ] {
+            assert!(parse_jobs(args).is_err(), "{args:?} accepted");
+        }
     }
 }

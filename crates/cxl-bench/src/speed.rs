@@ -27,7 +27,13 @@ pub mod legacy {
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap, HashSet};
 
+    use cxl_obs::{Counter, Max};
     use cxl_sim::SimTime;
+
+    // The same metrics the arena engine records.
+    static EVENTS_EXECUTED: Counter = Counter::new("sim/events_executed");
+    static EVENTS_CANCELLED: Counter = Counter::new("sim/events_cancelled");
+    static HEAP_DEPTH_MAX: Max = Max::new("sim/heap_depth_max");
 
     /// Handle to a scheduled event.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,7 +98,7 @@ pub mod legacy {
             self.seq += 1;
             self.heap.push(Reverse(key));
             self.events.insert(key, Scheduled { id, f: Box::new(f) });
-            cxl_obs::counter_max("sim/heap_depth_max", self.heap.len() as u64);
+            HEAP_DEPTH_MAX.raise(self.heap.len() as u64);
             id
         }
 
@@ -109,12 +115,12 @@ pub mod legacy {
                     .remove(&key)
                     .expect("heap key without event entry");
                 if self.cancelled.remove(&ev.id) {
-                    cxl_obs::counter_add("sim/events_cancelled", 1);
+                    EVENTS_CANCELLED.add(1);
                     continue;
                 }
                 self.now = key.0;
                 self.executed += 1;
-                cxl_obs::counter_add("sim/events_executed", 1);
+                EVENTS_EXECUTED.add(1);
                 (ev.f)(self);
                 return true;
             }
@@ -267,6 +273,25 @@ pub fn ycsb_gen_slice(ops: usize, batched: bool) -> u64 {
         }
     }
     acc
+}
+
+/// Makes `records` handle records into a live scoped registry (the
+/// `--metrics` regime of every instrumented hot path), alternating a
+/// histogram sample and a counter add, and returns how many reached
+/// the registry. Includes the shard merge when the scope closes, so
+/// the bench's mean over `records` is the amortized cost of one record.
+pub fn obs_record_slice(records: u64) -> u64 {
+    static SAMPLES: cxl_obs::Hist = cxl_obs::Hist::new("bench/obs_record_samples");
+    static CALLS: cxl_obs::Counter = cxl_obs::Counter::new("bench/obs_record_calls");
+    let registry = std::sync::Arc::new(cxl_obs::Registry::new());
+    {
+        let _scope = cxl_obs::scope(registry.clone());
+        for i in 0..records / 2 {
+            SAMPLES.record(std::hint::black_box(i & 0xffff));
+            CALLS.add(1);
+        }
+    }
+    registry.counter(CALLS.name()).unwrap_or(0) * 2
 }
 
 /// Drives the tier-manager touch hot path: `touches` accesses over a

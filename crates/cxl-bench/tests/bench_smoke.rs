@@ -63,3 +63,8 @@ fn heap_gc_slice_runs_and_is_deterministic() {
     // objects_traced > 0 folds in: the trace actually swept the heap.
     assert!(a > 3_000, "heap slice did no work: {a}");
 }
+
+#[test]
+fn obs_record_slice_reaches_the_registry() {
+    assert_eq!(speed::obs_record_slice(10_000), 10_000);
+}

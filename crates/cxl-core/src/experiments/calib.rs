@@ -137,9 +137,11 @@ pub fn run_with(runner: &Runner, params: CalibParams) -> CalibStudy {
         .map(|t| run_target(runner, &params, t))
         .collect();
 
-    cxl_obs::counter_add("calib/targets", cells.len() as u64);
+    static TARGETS: cxl_obs::Counter = cxl_obs::Counter::new("calib/targets");
+    TARGETS.add(cells.len() as u64);
     for c in &cells {
-        let g = |k: &str, v: f64| cxl_obs::gauge_set(&format!("calib/{}/{k}", c.target), v);
+        let name = |k: &str| format!("calib/{}/{k}", c.target);
+        let g = |k: &str, v: f64| cxl_obs::Gauge::interned(&name(k)).set(v);
         g("shipped_max_residual_pct", c.shipped.max_residual_pct);
         g("start_max_residual_pct", c.start.max_residual_pct);
         g("max_residual_pct", c.fitted.max_residual_pct);
@@ -149,10 +151,11 @@ pub fn run_with(runner: &Runner, params: CalibParams) -> CalibStudy {
             "within_tolerance",
             if c.within_tolerance { 1.0 } else { 0.0 },
         );
-        cxl_obs::counter_add(&format!("calib/{}/evaluations", c.target), c.evaluations);
-        cxl_obs::counter_add(&format!("calib/{}/steps", c.target), c.steps as u64);
-        cxl_obs::counter_add(
-            &format!("calib/{}/points", c.target),
+        let n = |k: &str, v: u64| cxl_obs::Counter::interned(&name(k)).add(v);
+        n("evaluations", c.evaluations);
+        n("steps", c.steps as u64);
+        n(
+            "points",
             c.fitted.curves.iter().map(|r| r.points as u64).sum(),
         );
     }

@@ -22,6 +22,10 @@ use std::sync::Mutex;
 
 use cxl_stats::rng::derive_seed;
 
+static CELLS: cxl_obs::Counter = cxl_obs::Counter::new("runner/cells");
+static CELL_WALL_NS: cxl_obs::Hist = cxl_obs::Hist::wall("runner/cell_wall_ns");
+static IN_FLIGHT_MAX: cxl_obs::Max = cxl_obs::Max::wall("runner/in_flight_max");
+
 /// Environment variable bounding the worker pool.
 pub const JOBS_ENV: &str = "CXL_JOBS";
 
@@ -86,8 +90,8 @@ impl Runner {
             return items
                 .into_iter()
                 .map(|item| {
-                    cxl_obs::counter_add("runner/cells", 1);
-                    let _cell = cxl_obs::span("runner/cell_wall_ns");
+                    CELLS.add(1);
+                    let _cell = CELL_WALL_NS.span();
                     f(item)
                 })
                 .collect();
@@ -117,15 +121,20 @@ impl Runner {
                             .take()
                             .expect("cell claimed twice");
                         let busy = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-                        cxl_obs::wall_counter_max("runner/in_flight_max", busy as u64);
-                        cxl_obs::counter_add("runner/cells", 1);
+                        IN_FLIGHT_MAX.raise(busy as u64);
+                        CELLS.add(1);
                         let out = {
-                            let _cell = cxl_obs::span("runner/cell_wall_ns");
+                            let _cell = CELL_WALL_NS.span();
                             f(item)
                         };
                         in_flight.fetch_sub(1, Ordering::Relaxed);
                         *slots[i].lock().expect("result slot poisoned") = Some(out);
                     }
+                    // Hand this worker's records to the caller before
+                    // the scope joins it (a scoped registry's shard is
+                    // merged by `_obs_scope` dropping; this covers the
+                    // global one).
+                    cxl_obs::flush();
                 });
             }
         });

@@ -27,6 +27,23 @@ use crate::error::CtlError;
 use crate::knob::{KnobSpec, Plant};
 use crate::signal::Series;
 
+mod obs {
+    use cxl_obs::Counter;
+
+    pub static ACTIONS_APPLIED: Counter = Counter::new("ctl/actions_applied");
+    pub static ACTIONS_BLOCKED: Counter = Counter::new("ctl/actions_blocked");
+    pub static ACTIONS_REJECTED: Counter = Counter::new("ctl/actions_rejected");
+    pub static COMMITS: Counter = Counter::new("ctl/commits");
+    pub static DISTURBANCES: Counter = Counter::new("ctl/disturbances");
+    pub static EMERGENCY_ROLLBACKS: Counter = Counter::new("ctl/emergency_rollbacks");
+    pub static GUARDRAIL_VIOLATIONS: Counter = Counter::new("ctl/guardrail_violations");
+    pub static PROBE_EXTENSIONS: Counter = Counter::new("ctl/probe_extensions");
+    pub static PROBES: Counter = Counter::new("ctl/probes");
+    pub static ROLLBACKS: Counter = Counter::new("ctl/rollbacks");
+    pub static SHIFTS: Counter = Counter::new("ctl/shifts");
+    pub static TICKS: Counter = Counter::new("ctl/ticks");
+}
+
 /// Tuning of the hill climber and its guardrails.
 #[derive(Debug, Clone, Serialize)]
 pub struct ControllerConfig {
@@ -178,13 +195,13 @@ impl Guardrails {
         match plant.apply(knob, setting) {
             Ok(()) => {
                 self.actions_applied += 1;
-                cxl_obs::counter_add("ctl/actions_applied", 1);
+                obs::ACTIONS_APPLIED.add(1);
                 if is_probe {
                     self.last_probe_tick = Some(tick);
                 }
                 if let Err(breach) = plant.check_invariants() {
                     self.violations += 1;
-                    cxl_obs::counter_add("ctl/guardrail_violations", 1);
+                    obs::GUARDRAIL_VIOLATIONS.add(1);
                     // The breach text is diagnostic; the counter is the
                     // contract (CI fails on nonzero).
                     let _ = breach;
@@ -193,7 +210,7 @@ impl Guardrails {
             }
             Err(_) => {
                 self.actions_rejected += 1;
-                cxl_obs::counter_add("ctl/actions_rejected", 1);
+                obs::ACTIONS_REJECTED.add(1);
                 ApplyOutcome::Rejected
             }
         }
@@ -408,9 +425,7 @@ impl Controller {
             Mode::Steady => self.steady_tick(plant),
             Mode::Probing(probe) => self.probing_tick(probe, objective, plant),
         };
-        if cxl_obs::active() {
-            cxl_obs::counter_add("ctl/ticks", 1);
-        }
+        obs::TICKS.add(1);
         outcome
     }
 
@@ -440,7 +455,7 @@ impl Controller {
             self.rebaseline = self.cfg.measure_ticks;
             self.shift_quiet = self.cfg.measure_ticks;
             self.shifts += 1;
-            cxl_obs::counter_add("ctl/shifts", 1);
+            obs::SHIFTS.add(1);
         }
     }
 
@@ -468,7 +483,7 @@ impl Controller {
             .may_probe(self.tick_index, self.cfg.min_action_gap_ticks)
         {
             self.guardrails.actions_blocked += 1;
-            cxl_obs::counter_add("ctl/actions_blocked", 1);
+            obs::ACTIONS_BLOCKED.add(1);
             return TickOutcome::Blocked;
         }
         let Some((knob, probe_setting)) = self.pick_probe() else {
@@ -485,7 +500,7 @@ impl Controller {
         {
             ApplyOutcome::Applied => {
                 self.probes += 1;
-                cxl_obs::counter_add("ctl/probes", 1);
+                obs::PROBES.add(1);
                 // Advance the cursor so the *next* probe starts from the
                 // following knob even if this one commits.
                 self.next_knob = (knob + 1) % self.knobs.len();
@@ -562,7 +577,7 @@ impl Controller {
             probe.crash_strikes += 1;
             if probe.crash_strikes >= 2 {
                 self.emergency_rollbacks += 1;
-                cxl_obs::counter_add("ctl/emergency_rollbacks", 1);
+                obs::EMERGENCY_ROLLBACKS.add(1);
                 return self.finish_rollback(probe, plant, true);
             }
         } else {
@@ -604,7 +619,7 @@ impl Controller {
                 self.tick_index + u64::from(self.knobs[knob].cooldown_ticks);
             self.rebaseline = self.cfg.measure_ticks;
             self.commits += 1;
-            cxl_obs::counter_add("ctl/commits", 1);
+            obs::COMMITS.add(1);
             TickOutcome::Committed {
                 knob,
                 from: prev_setting,
@@ -633,11 +648,11 @@ impl Controller {
             probe.measured.clear();
             let knob = probe.knob;
             self.mode = Mode::Probing(probe);
-            cxl_obs::counter_add("ctl/probe_extensions", 1);
+            obs::PROBE_EXTENSIONS.add(1);
             TickOutcome::ProbeExtended { knob }
         } else {
             self.rollbacks += 1;
-            cxl_obs::counter_add("ctl/rollbacks", 1);
+            obs::ROLLBACKS.add(1);
             self.finish_rollback(probe, plant, false)
         }
     }
@@ -669,7 +684,7 @@ impl Controller {
             }
             ApplyOutcome::Rejected => {
                 self.guardrails.violations += 1;
-                cxl_obs::counter_add("ctl/guardrail_violations", 1);
+                obs::GUARDRAIL_VIOLATIONS.add(1);
                 self.current[knob] = probe_setting;
             }
         }
@@ -724,7 +739,7 @@ impl Controller {
         self.rebaseline = 0;
         self.shift_quiet = 0;
         self.objective = Series::new(self.cfg.history, self.cfg.ewma_alpha);
-        cxl_obs::counter_add("ctl/disturbances", 1);
+        obs::DISTURBANCES.add(1);
     }
 
     /// Current setting index per knob.

@@ -204,8 +204,20 @@ impl SignalPlane {
     }
 
     /// Convenience: samples the ambient registry ([`cxl_obs::snapshot`]).
+    ///
+    /// When every tracked series is [external](SignalPlane::observe),
+    /// nothing would read the snapshot, so none is taken (a snapshot
+    /// clones every histogram in the registry); the sample is still
+    /// counted. The baseline is then empty, so a registry-backed series
+    /// tracked later reports its full cumulative value as its first
+    /// delta rather than the growth since the skipped sample.
     pub fn sample_ambient(&mut self) {
-        self.sample(cxl_obs::snapshot());
+        let reads_registry = self.tracked.iter().any(|(_, s)| *s != Source::External);
+        self.sample(if reads_registry {
+            cxl_obs::snapshot()
+        } else {
+            Snapshot::empty()
+        });
     }
 
     /// Pushes an externally computed observation (auto-registers the
@@ -316,6 +328,31 @@ mod tests {
         // External series are not fed by sample().
         plane.sample(Snapshot::empty());
         assert_eq!(plane.series("objective").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn ambient_sampling_skips_the_snapshot_when_nothing_reads_it() {
+        let reg = std::sync::Arc::new(Registry::new());
+        let _scope = cxl_obs::scope(reg.clone());
+        reg.counter_add(Class::Sim, "ctl/test_events", 5);
+        let mut plane = SignalPlane::new(4, 1.0);
+        plane.track_external("objective");
+        plane.sample_ambient();
+        assert_eq!(plane.samples(), 1, "a skipped snapshot still counts");
+        assert!(plane.prev.is_empty(), "no snapshot taken");
+
+        // A registry-backed series tracked after a skipped sample starts
+        // from the empty baseline: its first delta is the full total.
+        plane.track_counter("ctl/test_events");
+        reg.counter_add(Class::Sim, "ctl/test_events", 3);
+        plane.sample_ambient();
+        let events = plane.series("ctl/test_events").unwrap();
+        assert_eq!(events.iter().collect::<Vec<_>>(), vec![8.0]);
+        reg.counter_add(Class::Sim, "ctl/test_events", 2);
+        plane.sample_ambient();
+        let events = plane.series("ctl/test_events").unwrap();
+        assert_eq!(events.iter().collect::<Vec<_>>(), vec![8.0, 2.0]);
+        assert_eq!(plane.samples(), 3);
     }
 
     #[test]

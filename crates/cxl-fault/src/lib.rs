@@ -21,9 +21,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use cxl_obs::Counter;
 use cxl_sim::{Engine, EventId, SimTime};
 use cxl_topology::{NodeId, Topology};
 use rand::Rng;
+
+static INJECTED: Counter = Counter::new("fault/injected");
 
 /// Legal PCIe link widths a degraded link can retrain to.
 const LINK_WIDTHS: [u32; 5] = [1, 2, 4, 8, 16];
@@ -147,20 +150,26 @@ impl FaultKind {
             FaultKind::LatencyInflation { factor, .. } => dev.health.latency_factor = factor,
             FaultKind::CapacityLoss { remaining, .. } => dev.health.capacity_fraction = remaining,
         }
-        if cxl_obs::active() {
-            cxl_obs::counter_add("fault/injected", 1);
-            cxl_obs::counter_add(self.metric(), 1);
-        }
+        INJECTED.add(1);
+        self.counter().add(1);
         Ok(())
     }
 
     /// Per-kind observability counter name.
     pub fn metric(&self) -> &'static str {
+        self.counter().name()
+    }
+
+    fn counter(&self) -> &'static Counter {
+        static EXPANDER_OFFLINE: Counter = Counter::new("fault/expander_offline");
+        static LINK_DOWNGRADE: Counter = Counter::new("fault/link_downgrade");
+        static LATENCY_INFLATION: Counter = Counter::new("fault/latency_inflation");
+        static CAPACITY_LOSS: Counter = Counter::new("fault/capacity_loss");
         match self {
-            FaultKind::ExpanderOffline { .. } => "fault/expander_offline",
-            FaultKind::LinkDowngrade { .. } => "fault/link_downgrade",
-            FaultKind::LatencyInflation { .. } => "fault/latency_inflation",
-            FaultKind::CapacityLoss { .. } => "fault/capacity_loss",
+            FaultKind::ExpanderOffline { .. } => &EXPANDER_OFFLINE,
+            FaultKind::LinkDowngrade { .. } => &LINK_DOWNGRADE,
+            FaultKind::LatencyInflation { .. } => &LATENCY_INFLATION,
+            FaultKind::CapacityLoss { .. } => &CAPACITY_LOSS,
         }
     }
 }

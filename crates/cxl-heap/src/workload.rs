@@ -26,6 +26,21 @@ use cxl_topology::{MemoryTier, NodeId, Topology};
 
 use crate::graph::{GraphConfig, ObjectGraph};
 
+mod obs {
+    use cxl_obs::{Counter, Hist, Max};
+
+    pub static MUTATOR_OPS: Counter = Counter::new("heap/mutator_ops");
+    pub static MUTATOR_OP_NS: Hist = Hist::new("heap/mutator_op_ns");
+    pub static OBJECTS_TRACED: Counter = Counter::new("heap/objects_traced");
+    pub static TRACE_OBJ_NS: Hist = Hist::new("heap/trace_obj_ns");
+    pub static TRACE_FAR_OBJECTS: Counter = Counter::new("heap/trace_far_objects");
+    pub static TRACE_PROMOTIONS: Counter = Counter::new("heap/trace_promotions");
+    pub static TRACE_DEMOTIONS: Counter = Counter::new("heap/trace_demotions");
+    pub static GC_CYCLES: Counter = Counter::new("heap/gc_cycles");
+    pub static FAULT_EVACUATED_PAGES: Counter = Counter::new("heap/fault_evacuated_pages");
+    pub static STRANDED_PAGES: Max = Max::new("heap/stranded_pages");
+}
+
 /// Sizing and pacing knobs of one heap run.
 #[derive(Debug, Clone, Serialize)]
 pub struct HeapParams {
@@ -488,7 +503,7 @@ impl HeapWorkload {
         }
         if far {
             self.trace_far += 1;
-            cxl_obs::counter_add("heap/trace_far_objects", 1);
+            obs::TRACE_FAR_OBJECTS.add(1);
         }
         self.trace_touches += touches;
         ns
@@ -547,7 +562,7 @@ impl HeapWorkload {
         self.sys = MemSystem::new(&degraded);
         self.lat_ns = Self::idle_latency_table(&self.sys);
         self.evacuation = Some(report);
-        cxl_obs::counter_add("heap/fault_evacuated_pages", report.total_pages());
+        obs::FAULT_EVACUATED_PAGES.add(report.total_pages());
         self.refresh_epoch();
     }
 
@@ -594,8 +609,8 @@ impl HeapWorkload {
         if was_trace {
             self.trace_promotions += promos;
             self.trace_demotions += demos;
-            cxl_obs::counter_add("heap/trace_promotions", promos);
-            cxl_obs::counter_add("heap/trace_demotions", demos);
+            obs::TRACE_PROMOTIONS.add(promos);
+            obs::TRACE_DEMOTIONS.add(demos);
         } else {
             self.mutator_promotions += promos;
         }
@@ -619,12 +634,9 @@ impl HeapWorkload {
                     if post_gc {
                         self.mutator_post_hist.record(v);
                     }
-                    if cxl_obs::active() {
-                        cxl_obs::record("heap/mutator_op_ns", v);
-                    }
                     self.ops_since_epoch += 1;
                 }
-                cxl_obs::counter_add("heap/mutator_ops", batch);
+                obs::MUTATOR_OPS.add(batch);
                 remaining -= batch;
                 self.maybe_refresh();
                 if remaining > 0 {
@@ -648,9 +660,6 @@ impl HeapWorkload {
                     self.now += SimTime::from_ns_f64(ns);
                     let v = ns as u64;
                     self.trace_hist.record(v);
-                    if cxl_obs::active() {
-                        cxl_obs::record("heap/trace_obj_ns", v);
-                    }
                     self.objects_traced += 1;
                     self.ops_since_epoch += 1;
                     visited_this_chunk += 1;
@@ -664,7 +673,7 @@ impl HeapWorkload {
                         }
                     }
                 }
-                cxl_obs::counter_add("heap/objects_traced", visited_this_chunk as u64);
+                obs::OBJECTS_TRACED.add(visited_this_chunk as u64);
                 self.maybe_refresh();
                 if ts.queue.is_empty() {
                     self.trace_duration += self.now.saturating_sub(ts.started_at);
@@ -675,7 +684,7 @@ impl HeapWorkload {
                         remaining: self.params.mutator_ops_per_cycle,
                         post_gc: true,
                     };
-                    cxl_obs::counter_add("heap/gc_cycles", 1);
+                    obs::GC_CYCLES.add(1);
                 } else {
                     self.phase = Phase::Trace(ts);
                 }
@@ -710,7 +719,17 @@ impl HeapWorkload {
                 .filter(|&&p| w.tm.location(p) == Location::Node(node))
                 .count() as u64,
         };
-        cxl_obs::counter_max("heap/stranded_pages", stranded);
+        obs::STRANDED_PAGES.raise(stranded);
+        // The op and visit latencies were kept once, in the report's
+        // histograms; export them in one merge each.
+        for (hist, metric) in [
+            (&w.mutator_hist, &obs::MUTATOR_OP_NS),
+            (&w.trace_hist, &obs::TRACE_OBJ_NS),
+        ] {
+            if hist.count() > 0 {
+                metric.record_histogram(hist);
+            }
+        }
 
         HeapReport {
             mutator: w.mutator_hist,

@@ -30,6 +30,27 @@ use cxl_ycsb::{Generator, GeneratorConfig, Op, Workload};
 /// equivalent.
 const GEN_BLOCK: usize = 1024;
 
+mod obs {
+    use cxl_obs::{Counter, Hist};
+
+    pub static EXPANDER_FAILURES_SURVIVED: Counter = Counter::new("kv/expander_failures_survived");
+    pub static CACHE_IN_GIVE_UPS: Counter = Counter::new("kv/cache_in_give_ups");
+    pub static SSD_HITS: Counter = Counter::new("kv/ssd_hits");
+    pub static ACCESS_NS_SSD: Hist = Hist::new("kv/access_ns/ssd");
+    pub static ACCESS_NS_MMEM: Hist = Hist::new("kv/access_ns/mmem");
+    pub static ACCESS_NS_CXL: Hist = Hist::new("kv/access_ns/cxl");
+    pub static OP_SOJOURN_NS: Hist = Hist::new("kv/op_sojourn_ns");
+}
+
+/// Exports a run's sojourn histogram as `kv/op_sojourn_ns`: merged once
+/// per run rather than recorded again per op. A run with no ops writes
+/// nothing, as per-op recording did.
+fn export_sojourns(latency: &Histogram) {
+    if latency.count() > 0 {
+        obs::OP_SOJOURN_NS.record_histogram(latency);
+    }
+}
+
 /// Pulls the next op off `buf`, refilling it with a block when empty.
 /// `remaining` is the number of ops still owed including this one, so
 /// the final block never over-draws the generator.
@@ -305,7 +326,7 @@ impl KvStore {
         self.now = self.now.max(report.completed_at);
         self.apply_topology(topo);
         self.refresh_epoch();
-        cxl_obs::counter_add("kv/expander_failures_survived", 1);
+        obs::EXPANDER_FAILURES_SURVIVED.add(1);
         Ok(report)
     }
 
@@ -461,7 +482,7 @@ impl KvStore {
                 }
                 Err(_) => {
                     let Some(victim) = self.pick_victim() else {
-                        cxl_obs::counter_add("kv/cache_in_give_ups", 1);
+                        obs::CACHE_IN_GIVE_UPS.add(1);
                         return evictions;
                     };
                     if self.tm.evict_to_ssd(victim).is_err() {
@@ -513,18 +534,16 @@ impl KvStore {
                 }
             }
         }
-        if cxl_obs::active() {
-            let metric = match outcome.location {
-                Location::Ssd => "kv/access_ns/ssd",
-                Location::Node(node) => match self.sys.node(node).tier {
-                    cxl_topology::MemoryTier::LocalDram => "kv/access_ns/mmem",
-                    cxl_topology::MemoryTier::CxlExpander => "kv/access_ns/cxl",
-                },
-            };
-            cxl_obs::record(metric, ns as u64);
-            if hit_ssd {
-                cxl_obs::counter_add("kv/ssd_hits", 1);
-            }
+        let metric = match outcome.location {
+            Location::Ssd => &obs::ACCESS_NS_SSD,
+            Location::Node(node) => match self.sys.node(node).tier {
+                cxl_topology::MemoryTier::LocalDram => &obs::ACCESS_NS_MMEM,
+                cxl_topology::MemoryTier::CxlExpander => &obs::ACCESS_NS_CXL,
+            },
+        };
+        metric.record(ns as u64);
+        if hit_ssd {
+            obs::SSD_HITS.add(1);
         }
         (ns, hit_ssd)
     }
@@ -667,7 +686,6 @@ impl KvStore {
             let completion = servers.submit(arrival, SimTime::from_ns_f64(service_ns));
             let sojourn = completion.sojourn(arrival).as_ns();
             latency.record(sojourn);
-            cxl_obs::record("kv/op_sojourn_ns", sojourn);
             if !op.is_write() {
                 read_latency.record(sojourn);
             }
@@ -682,6 +700,7 @@ impl KvStore {
 
         self.now = servers.makespan().max(self.now);
         self.refresh_epoch();
+        export_sojourns(&latency);
         let duration = self.now.saturating_sub(start);
         let throughput = if duration > SimTime::ZERO {
             ops as f64 / duration.as_secs_f64()
@@ -804,7 +823,6 @@ impl KvStore {
             clients[client] = completion.finish;
             let sojourn = completion.sojourn(arrival).as_ns();
             latency.record(sojourn);
-            cxl_obs::record("kv/op_sojourn_ns", sojourn);
             if !op.is_write() {
                 read_latency.record(sojourn);
             }
@@ -819,6 +837,7 @@ impl KvStore {
 
         self.now = servers.makespan().max(self.now);
         self.refresh_epoch();
+        export_sojourns(&latency);
         let duration = self.now.saturating_sub(start);
         let throughput = if duration > SimTime::ZERO {
             ops as f64 / duration.as_secs_f64()

@@ -31,15 +31,43 @@
 //!   runtimes, solve-cache hit/miss splits, worker occupancy).
 //!   Excluded from determinism comparisons.
 //!
-//! # Dispatch and the zero-cost no-op mode
+//! # Handles, shards and the no-op mode
 //!
-//! Instrumented crates call the free functions ([`counter_add`],
-//! [`record`], [`span`], …). Each call resolves its target registry:
+//! Instrumented crates declare each metric once as a handle —
+//! [`Counter`], [`Max`], [`Hist`] or [`Gauge`] — which fixes its name,
+//! shape and [`Class`]: a `static` for a fixed name, or
+//! [`Counter::interned`] (etc.) when the owning value is built, for
+//! label families such as `serve/{tenant}/served`. Recording goes
+//! through the handle and lands on the current target:
 //!
-//! 1. a thread-scoped registry installed with [`scope`], if any —
-//!    always recording (tests use this for isolation; the experiment
-//!    runner propagates the caller's scope into its workers), else
+//! 1. the innermost thread-scoped registry installed with [`scope`], if
+//!    any — always recording (tests use this for isolation; the
+//!    experiment runner propagates the caller's scope into its
+//!    workers), else
 //! 2. the process [`global`] registry, only if [`enable`]d.
+//!
+//! A record does not touch the registry. It is a plain add into the
+//! calling thread's shard for that target, a dense per-thread array
+//! indexed by the handle's interned slot: no lock, no allocation, no
+//! map lookup. Shards are merged into their registry
+//!
+//! * when the [`ScopeGuard`] that installed the target drops,
+//! * on [`flush`] (the experiment runner calls it as each worker
+//!   exits),
+//! * before any read of the registry from the same thread
+//!   ([`Registry::export_json`], [`Registry::snapshot`],
+//!   [`Registry::counter`], …), and
+//! * from the thread-local destructor, as a fallback.
+//!
+//! A read on one thread sees another thread's records only once that
+//! thread has passed one of these points.
+//!
+//! Counter adds, maxima and histogram bucket increments commute, so
+//! the merged values — and so the export — do not depend on how
+//! records were split across threads or when shards were merged. A
+//! metric appears in the export once it has been written, even if the
+//! value written was 0 or the histogram merged was empty. Gauges are
+//! cold and last-write-wins, so [`Gauge::set`] writes straight through.
 //!
 //! With no scope installed and the global registry disabled (the
 //! default), every recording call is a thread-local read plus one
@@ -51,32 +79,33 @@
 //! ```
 //! use std::sync::Arc;
 //!
+//! static PROMOTIONS: cxl_obs::Counter = cxl_obs::Counter::new("tier/promotions");
+//! static ACCESS_MMEM: cxl_obs::Hist = cxl_obs::Hist::new("kv/access_ns/mmem");
+//!
 //! let reg = Arc::new(cxl_obs::Registry::new());
 //! {
 //!     let _guard = cxl_obs::scope(reg.clone());
-//!     cxl_obs::counter_add("tier/promotions", 3);
-//!     cxl_obs::record("kv/access_ns/mmem", 97);
+//!     PROMOTIONS.add(3);
+//!     ACCESS_MMEM.record(97);
 //! }
 //! assert_eq!(reg.counter("tier/promotions"), Some(3));
 //! let json = reg.export_json();
 //! assert!(json.contains("tier/promotions"));
 //! ```
 
+mod handle;
 mod registry;
+mod shard;
 mod span;
 
+pub use handle::{Counter, Gauge, Hist, Max};
 pub use registry::{Class, MetricValue, Registry, Snapshot};
 pub use span::Span;
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    static SCOPED: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The process-wide registry (disabled until [`enable`] is called).
 pub fn global() -> &'static Registry {
@@ -95,99 +124,46 @@ pub fn disable() {
 }
 
 /// True when the [`global`] registry is recording.
+#[inline]
 pub fn enabled() -> bool {
     GLOBAL_ENABLED.load(Ordering::Relaxed)
 }
 
 /// True when a recording call on this thread would reach any registry.
-///
-/// Gate expensive label construction (`format!`) on this.
+#[inline]
 pub fn active() -> bool {
-    enabled() || SCOPED.with(|s| !s.borrow().is_empty())
+    shard::active()
 }
 
 /// The innermost thread-scoped registry, if one is installed.
 pub fn current() -> Option<Arc<Registry>> {
-    SCOPED.with(|s| s.borrow().last().cloned())
+    shard::current()
 }
 
-/// Guard returned by [`scope`]; uninstalls the registry on drop.
+/// Guard returned by [`scope`]; uninstalls the registry on drop and
+/// merges what this thread recorded into it.
 pub struct ScopeGuard {
     _private: (),
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        SCOPED.with(|s| {
-            s.borrow_mut().pop();
-        });
+        shard::pop();
     }
 }
 
 /// Installs `registry` as this thread's recording target until the
 /// returned guard drops. Scopes nest; the innermost wins.
 pub fn scope(registry: Arc<Registry>) -> ScopeGuard {
-    SCOPED.with(|s| s.borrow_mut().push(registry));
+    shard::push(registry);
     ScopeGuard { _private: () }
 }
 
-fn dispatch(f: impl FnOnce(&Registry)) {
-    SCOPED.with(|s| {
-        if let Some(reg) = s.borrow().last() {
-            f(reg);
-        } else if enabled() {
-            f(global());
-        }
-    });
-}
-
-/// Adds `n` to a deterministic ([`Class::Sim`]) counter.
-pub fn counter_add(name: &str, n: u64) {
-    dispatch(|r| r.counter_add(Class::Sim, name, n));
-}
-
-/// Adds `n` to a scheduling-dependent ([`Class::Wall`]) counter.
-pub fn wall_counter_add(name: &str, n: u64) {
-    dispatch(|r| r.counter_add(Class::Wall, name, n));
-}
-
-/// Raises a deterministic high-water mark to at least `v`.
-pub fn counter_max(name: &str, v: u64) {
-    dispatch(|r| r.counter_max(Class::Sim, name, v));
-}
-
-/// Raises a scheduling-dependent high-water mark to at least `v`.
-pub fn wall_counter_max(name: &str, v: u64) {
-    dispatch(|r| r.counter_max(Class::Wall, name, v));
-}
-
-/// Sets a deterministic gauge. Only meaningful from a single logical
-/// stream — parallel writers make the final value scheduling-dependent,
-/// in which case use [`wall_gauge_set`].
-pub fn gauge_set(name: &str, v: f64) {
-    dispatch(|r| r.gauge_set(Class::Sim, name, v));
-}
-
-/// Sets a scheduling-dependent gauge.
-pub fn wall_gauge_set(name: &str, v: f64) {
-    dispatch(|r| r.gauge_set(Class::Wall, name, v));
-}
-
-/// Records one sample into a deterministic histogram.
-pub fn record(name: &str, value: u64) {
-    dispatch(|r| r.record(Class::Sim, name, value));
-}
-
-/// Records one sample into a scheduling-dependent histogram.
-pub fn wall_record(name: &str, value: u64) {
-    dispatch(|r| r.record(Class::Wall, name, value));
-}
-
-/// Starts a wall-clock span; its elapsed nanoseconds are recorded into
-/// the [`Class::Wall`] histogram `name` when the returned guard drops.
-/// A no-op (no clock read) when nothing is [`active`].
-pub fn span(name: &str) -> Span {
-    Span::start(name)
+/// Merges every record this thread has not yet merged into its
+/// registries. Call before a thread that recorded into the [`global`]
+/// registry hands off to a reader on another thread.
+pub fn flush() {
+    shard::flush_all();
 }
 
 /// Non-destructive snapshot of the registry a recording call would
@@ -195,15 +171,11 @@ pub fn span(name: &str) -> Span {
 /// [`Snapshot::empty`] when nothing is [`active`], so periodic samplers
 /// can run unconditionally.
 pub fn snapshot() -> Snapshot {
-    SCOPED.with(|s| {
-        if let Some(reg) = s.borrow().last() {
-            reg.snapshot()
-        } else if enabled() {
-            global().snapshot()
-        } else {
-            Snapshot::empty()
-        }
-    })
+    match current() {
+        Some(reg) => reg.snapshot(),
+        None if enabled() => global().snapshot(),
+        None => Snapshot::empty(),
+    }
 }
 
 #[cfg(test)]
@@ -216,30 +188,34 @@ mod tests {
 
     #[test]
     fn disabled_global_records_nothing() {
+        static C: Counter = Counter::new("test/disabled_counter");
         let _l = GLOBAL_LOCK.lock().unwrap();
         disable();
-        counter_add("test/disabled_counter", 5);
+        C.add(5);
         assert_eq!(global().counter("test/disabled_counter"), None);
     }
 
     #[test]
     fn enabled_global_records() {
+        static C: Counter = Counter::new("test/enabled_counter");
         let _l = GLOBAL_LOCK.lock().unwrap();
         enable();
-        counter_add("test/enabled_counter", 2);
-        counter_add("test/enabled_counter", 3);
+        C.add(2);
+        C.add(3);
         disable();
         assert_eq!(global().counter("test/enabled_counter"), Some(5));
     }
 
     #[test]
     fn scoped_registry_shadows_global() {
+        static C: Counter = Counter::new("test/scoped");
+        static H: Hist = Hist::new("test/scoped_hist");
         let reg = Arc::new(Registry::new());
         {
             let _g = scope(reg.clone());
             assert!(active());
-            counter_add("test/scoped", 7);
-            record("test/scoped_hist", 42);
+            C.add(7);
+            H.record(42);
         }
         assert_eq!(reg.counter("test/scoped"), Some(7));
         assert_eq!(reg.histogram("test/scoped_hist").unwrap().count(), 1);
@@ -249,24 +225,26 @@ mod tests {
 
     #[test]
     fn scopes_nest_innermost_wins() {
+        static C: Counter = Counter::new("test/nested");
         let outer = Arc::new(Registry::new());
         let inner = Arc::new(Registry::new());
         let _a = scope(outer.clone());
         {
             let _b = scope(inner.clone());
-            counter_add("test/nested", 1);
+            C.add(1);
         }
-        counter_add("test/nested", 10);
+        C.add(10);
         assert_eq!(inner.counter("test/nested"), Some(1));
         assert_eq!(outer.counter("test/nested"), Some(10));
     }
 
     #[test]
     fn span_records_into_wall_histogram() {
+        static SPAN: Hist = Hist::wall("test/span_ns");
         let reg = Arc::new(Registry::new());
         {
             let _g = scope(reg.clone());
-            let _s = span("test/span_ns");
+            let _s = SPAN.span();
         }
         let h = reg.histogram("test/span_ns").expect("span recorded");
         assert_eq!(h.count(), 1);
@@ -277,12 +255,13 @@ mod tests {
 
     #[test]
     fn free_snapshot_follows_dispatch() {
+        static C: Counter = Counter::new("test/free_snapshot");
         let _l = GLOBAL_LOCK.lock().unwrap();
         disable();
         assert!(snapshot().is_empty(), "inactive → empty snapshot");
         let reg = Arc::new(Registry::new());
         let _g = scope(reg.clone());
-        counter_add("test/free_snapshot", 4);
+        C.add(4);
         let snap = snapshot();
         assert_eq!(snap.counter("test/free_snapshot"), Some(4));
         // Sampling did not perturb the live registry.
@@ -291,10 +270,61 @@ mod tests {
 
     #[test]
     fn span_without_active_registry_is_noop() {
+        static SPAN: Hist = Hist::wall("test/noop_span");
         let _l = GLOBAL_LOCK.lock().unwrap();
         disable();
-        let s = span("test/noop_span");
+        let s = SPAN.span();
         drop(s);
         assert!(global().histogram("test/noop_span").is_none());
+    }
+
+    #[test]
+    fn reads_inside_a_live_scope_see_pending_records() {
+        static C: Counter = Counter::new("test/live_read");
+        static M: Max = Max::new("test/live_max");
+        let reg = Arc::new(Registry::new());
+        let _g = scope(reg.clone());
+        C.add(2);
+        M.raise(9);
+        assert_eq!(reg.counter("test/live_read"), Some(2));
+        C.add(3);
+        M.raise(4);
+        assert_eq!(reg.counter("test/live_read"), Some(5));
+        assert_eq!(reg.max("test/live_max"), Some(9));
+    }
+
+    #[test]
+    fn gauges_write_through_to_the_target() {
+        static G: Gauge = Gauge::new("test/gauge");
+        let reg = Arc::new(Registry::new());
+        let _g = scope(reg.clone());
+        G.set(0.25);
+        G.set(0.75);
+        assert_eq!(reg.gauge("test/gauge"), Some(0.75));
+    }
+
+    #[test]
+    fn interned_handles_share_a_slot_with_static_ones() {
+        static C: Counter = Counter::new("test/family/a");
+        let dynamic = Counter::interned(&format!("test/family/{}", "a"));
+        assert_eq!(dynamic.name(), C.name());
+        let reg = Arc::new(Registry::new());
+        {
+            let _g = scope(reg.clone());
+            C.add(1);
+            dynamic.add(2);
+        }
+        assert_eq!(reg.counter("test/family/a"), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "is a counter, not a histogram")]
+    fn one_name_with_two_shapes_panics() {
+        static C: Counter = Counter::new("test/two_shapes");
+        static H: Hist = Hist::new("test/two_shapes");
+        let reg = Arc::new(Registry::new());
+        let _g = scope(reg);
+        C.add(1);
+        H.record(1);
     }
 }

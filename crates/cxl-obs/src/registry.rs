@@ -1,10 +1,12 @@
 //! The metrics registry: named counters, maxima, gauges, histograms.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use cxl_stats::Histogram;
 use serde::Value;
+
+use crate::shard::{self, Shard};
 
 /// Determinism class of a metric.
 ///
@@ -44,6 +46,26 @@ impl MetricValue {
             MetricValue::Histogram(_) => "histogram",
         }
     }
+
+    /// Folds a same-shaped `other` into `self`: counters add, maxima
+    /// and histograms merge, gauges take the newer value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ (an instrumentation bug).
+    fn fold(&mut self, name: &str, other: MetricValue) {
+        match (self, other) {
+            (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+            (MetricValue::Max(a), MetricValue::Max(b)) => *a = (*a).max(b),
+            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = b,
+            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(&b),
+            (a, b) => panic!(
+                "metric {name:?} is a {}, not a {}",
+                a.type_name(),
+                b.type_name()
+            ),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -52,15 +74,23 @@ struct Metric {
     value: MetricValue,
 }
 
+type Metrics = BTreeMap<String, Metric>;
+
 /// A thread-safe collection of named metrics.
 ///
 /// Names are free-form `/`-separated paths (`tier/promotions`,
 /// `kv/access_ns/cxl`). The first write fixes a name's shape and
 /// [`Class`]; a later write of a different shape panics (instrumentation
 /// bug), while class is required to match only in debug builds.
+///
+/// Instrumented code records through handles ([`crate::Counter`], …),
+/// which land in per-thread shards; every read merges the calling
+/// thread's pending shards for this registry first. The named write
+/// methods below go straight to the map and are meant for tests and
+/// bulk loads.
 #[derive(Debug, Default)]
 pub struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    metrics: Mutex<Metrics>,
 }
 
 impl Registry {
@@ -69,23 +99,46 @@ impl Registry {
         Self::default()
     }
 
-    fn update(
-        &self,
-        class: Class,
-        name: &str,
-        apply: impl FnOnce(&mut MetricValue),
-        init: impl FnOnce() -> MetricValue,
-    ) {
-        let mut m = self.metrics.lock().expect("metrics registry poisoned");
-        let entry = m.entry(name.to_string()).or_insert_with(|| Metric {
-            class,
-            value: init(),
-        });
-        debug_assert!(
-            entry.class == class,
-            "metric {name:?} re-registered with a different determinism class"
-        );
-        apply(&mut entry.value);
+    fn lock(&self) -> MutexGuard<'_, Metrics> {
+        self.metrics.lock().expect("metrics registry poisoned")
+    }
+
+    /// Locks for reading, after merging this thread's pending records.
+    fn read(&self) -> MutexGuard<'_, Metrics> {
+        shard::flush_into(self);
+        self.lock()
+    }
+
+    /// Writes `value` into `name`: the first write stores it (which
+    /// equals folding it into a zero of its shape), later ones fold.
+    fn write(m: &mut Metrics, class: Class, name: &str, value: MetricValue) {
+        match m.get_mut(name) {
+            Some(entry) => {
+                debug_assert!(
+                    entry.class == class,
+                    "metric {name:?} re-registered with a different determinism class"
+                );
+                entry.value.fold(name, value);
+            }
+            None => {
+                m.insert(name.to_string(), Metric { class, value });
+            }
+        }
+    }
+
+    /// Merges a thread's shard (one lock for every slot it wrote).
+    ///
+    /// Runs from `Drop` paths (scope guards, thread exit), so it takes
+    /// a poisoned lock rather than panicking: `write` checks the shape
+    /// before it mutates, so a panic never leaves the map half-updated.
+    pub(crate) fn absorb(&self, shard: &mut Shard) {
+        let mut m = self
+            .metrics
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for (name, class, value) in shard.drain() {
+            Self::write(&mut m, class, name, value);
+        }
     }
 
     /// Adds `n` to the counter `name`.
@@ -94,15 +147,7 @@ impl Registry {
     ///
     /// Panics if `name` already holds a non-counter metric.
     pub fn counter_add(&self, class: Class, name: &str, n: u64) {
-        self.update(
-            class,
-            name,
-            |v| match v {
-                MetricValue::Counter(c) => *c += n,
-                other => panic!("metric {name:?} is a {}, not a counter", other.type_name()),
-            },
-            || MetricValue::Counter(0),
-        );
+        Self::write(&mut self.lock(), class, name, MetricValue::Counter(n));
     }
 
     /// Raises the high-water mark `name` to at least `v`.
@@ -111,15 +156,7 @@ impl Registry {
     ///
     /// Panics if `name` already holds a non-max metric.
     pub fn counter_max(&self, class: Class, name: &str, v: u64) {
-        self.update(
-            class,
-            name,
-            |val| match val {
-                MetricValue::Max(m) => *m = (*m).max(v),
-                other => panic!("metric {name:?} is a {}, not a max", other.type_name()),
-            },
-            || MetricValue::Max(0),
-        );
+        Self::write(&mut self.lock(), class, name, MetricValue::Max(v));
     }
 
     /// Sets the gauge `name` to `v`.
@@ -128,15 +165,7 @@ impl Registry {
     ///
     /// Panics if `name` already holds a non-gauge metric.
     pub fn gauge_set(&self, class: Class, name: &str, v: f64) {
-        self.update(
-            class,
-            name,
-            |val| match val {
-                MetricValue::Gauge(g) => *g = v,
-                other => panic!("metric {name:?} is a {}, not a gauge", other.type_name()),
-            },
-            || MetricValue::Gauge(0.0),
-        );
+        Self::write(&mut self.lock(), class, name, MetricValue::Gauge(v));
     }
 
     /// Records one sample into the histogram `name`.
@@ -145,18 +174,9 @@ impl Registry {
     ///
     /// Panics if `name` already holds a non-histogram metric.
     pub fn record(&self, class: Class, name: &str, value: u64) {
-        self.update(
-            class,
-            name,
-            |val| match val {
-                MetricValue::Histogram(h) => h.record(value),
-                other => panic!(
-                    "metric {name:?} is a {}, not a histogram",
-                    other.type_name()
-                ),
-            },
-            || MetricValue::Histogram(Histogram::new()),
-        );
+        let mut one = Histogram::new();
+        one.record(value);
+        Self::write(&mut self.lock(), class, name, MetricValue::Histogram(one));
     }
 
     /// Merges `samples` into the histogram `name` (worker-side
@@ -166,28 +186,17 @@ impl Registry {
     ///
     /// Panics if `name` already holds a non-histogram metric.
     pub fn record_histogram(&self, class: Class, name: &str, samples: &Histogram) {
-        self.update(
+        Self::write(
+            &mut self.lock(),
             class,
             name,
-            |val| match val {
-                MetricValue::Histogram(h) => h.merge(samples),
-                other => panic!(
-                    "metric {name:?} is a {}, not a histogram",
-                    other.type_name()
-                ),
-            },
-            || MetricValue::Histogram(Histogram::new()),
+            MetricValue::Histogram(samples.clone()),
         );
     }
 
     /// Value of the counter `name` (`None` when absent or another shape).
     pub fn counter(&self, name: &str) -> Option<u64> {
-        match self
-            .metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .get(name)
-        {
+        match self.read().get(name) {
             Some(Metric {
                 value: MetricValue::Counter(c),
                 ..
@@ -198,12 +207,7 @@ impl Registry {
 
     /// Value of the high-water mark `name`.
     pub fn max(&self, name: &str) -> Option<u64> {
-        match self
-            .metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .get(name)
-        {
+        match self.read().get(name) {
             Some(Metric {
                 value: MetricValue::Max(m),
                 ..
@@ -214,12 +218,7 @@ impl Registry {
 
     /// Value of the gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self
-            .metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .get(name)
-        {
+        match self.read().get(name) {
             Some(Metric {
                 value: MetricValue::Gauge(g),
                 ..
@@ -230,12 +229,7 @@ impl Registry {
 
     /// Clone of the histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        match self
-            .metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .get(name)
-        {
+        match self.read().get(name) {
             Some(Metric {
                 value: MetricValue::Histogram(h),
                 ..
@@ -246,9 +240,7 @@ impl Registry {
 
     /// Snapshot of every metric as `(name, class, value)`, sorted by name.
     pub fn metrics(&self) -> Vec<(String, Class, MetricValue)> {
-        self.metrics
-            .lock()
-            .expect("metrics registry poisoned")
+        self.read()
             .iter()
             .map(|(k, m)| (k.clone(), m.class, m.value.clone()))
             .collect()
@@ -264,9 +256,7 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             metrics: self
-                .metrics
-                .lock()
-                .expect("metrics registry poisoned")
+                .read()
                 .iter()
                 .map(|(k, m)| (k.clone(), m.value.clone()))
                 .collect(),
@@ -275,10 +265,7 @@ impl Registry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .len()
+        self.read().len()
     }
 
     /// True when no metric has been registered.
@@ -286,16 +273,14 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Drops every metric (cold-start for measurements and tests).
+    /// Drops every metric (cold-start for measurements and tests),
+    /// including this thread's records not yet merged.
     pub fn reset(&self) {
-        self.metrics
-            .lock()
-            .expect("metrics registry poisoned")
-            .clear();
+        self.read().clear();
     }
 
     fn section(&self, class: Class) -> Value {
-        let m = self.metrics.lock().expect("metrics registry poisoned");
+        let m = self.read();
         Value::Object(
             m.iter()
                 .filter(|(_, metric)| metric.class == class)

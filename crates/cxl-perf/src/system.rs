@@ -31,6 +31,20 @@ use crate::mix::AccessMix;
 use crate::params::ModelParams;
 use crate::tuning::PerfTuning;
 
+/// Wall class throughout: which solves hit the shared cache (and so how
+/// many run the solver) depends on worker scheduling.
+mod obs {
+    use cxl_obs::Counter;
+
+    pub static SOLVE_CACHE_HITS: Counter = Counter::wall("perf/solve_cache_hits");
+    pub static SOLVE_CACHE_MISSES: Counter = Counter::wall("perf/solve_cache_misses");
+    pub static SOLVE_CACHE_POISON_RECOVERIES: Counter =
+        Counter::wall("perf/solve_cache_poison_recoveries");
+    pub static SOLVE_COMPONENT_HITS: Counter = Counter::wall("perf/solve_component_hits");
+    pub static SOLVE_COMPONENT_MISSES: Counter = Counter::wall("perf/solve_component_misses");
+    pub static SOLVER_ITERATIONS: Counter = Counter::wall("perf/solver_iterations");
+}
+
 /// Access distance classes from §3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Distance {
@@ -451,7 +465,7 @@ fn lock_solve_cache() -> std::sync::MutexGuard<'static, MemoMap<SolveKey, Arc<So
         Ok(guard) => guard,
         Err(poisoned) => {
             cache.clear_poison();
-            cxl_obs::wall_counter_add("perf/solve_cache_poison_recoveries", 1);
+            obs::SOLVE_CACHE_POISON_RECOVERIES.add(1);
             let mut guard = poisoned.into_inner();
             guard.clear();
             guard
@@ -931,12 +945,12 @@ impl MemSystem {
             SOLVE_HITS.fetch_add(1, Ordering::Relaxed);
             // Wall class: two workers racing on the same cold key can
             // both miss, so the hit/miss split is schedule-dependent.
-            cxl_obs::wall_counter_add("perf/solve_cache_hits", 1);
+            obs::SOLVE_CACHE_HITS.add(1);
             return Ok(SolveResult::clone(hit));
         }
         let result = Arc::new(self.solve_incremental(flows, &key.flows)?);
         SOLVE_MISSES.fetch_add(1, Ordering::Relaxed);
-        cxl_obs::wall_counter_add("perf/solve_cache_misses", 1);
+        obs::SOLVE_CACHE_MISSES.add(1);
         let mut cache = lock_solve_cache();
         if cache.len() < SOLVE_CACHE_CAP {
             cache.insert(key, result.clone());
@@ -1039,7 +1053,7 @@ impl MemSystem {
             let sub_result: Arc<SolveResult> = match cached {
                 Some(hit) => {
                     COMPONENT_HITS.fetch_add(1, Ordering::Relaxed);
-                    cxl_obs::wall_counter_add("perf/solve_component_hits", 1);
+                    obs::SOLVE_COMPONENT_HITS.add(1);
                     hit
                 }
                 None => {
@@ -1047,7 +1061,7 @@ impl MemSystem {
                     let sub_paths: Vec<Path> = members.iter().map(|&i| paths[i].clone()).collect();
                     let r = Arc::new(self.solve_with_paths(&sub_flows, &sub_paths)?.0);
                     COMPONENT_MISSES.fetch_add(1, Ordering::Relaxed);
-                    cxl_obs::wall_counter_add("perf/solve_component_misses", 1);
+                    obs::SOLVE_COMPONENT_MISSES.add(1);
                     let mut cache = lock_solve_cache();
                     if cache.len() < SOLVE_CACHE_CAP {
                         cache.insert(sub_key, r.clone());
@@ -1184,7 +1198,7 @@ impl MemSystem {
 
         // Wall class: how many solves run (vs. hit the cache) depends
         // on scheduling, so cumulative iteration counts do too.
-        cxl_obs::wall_counter_add("perf/solver_iterations", iterations);
+        obs::SOLVER_ITERATIONS.add(iterations);
 
         // Compute utilization and per-flow latency.
         let utilization: Vec<(ResourceKind, f64)> = self

@@ -33,7 +33,6 @@
 
 use cxl_ctl::Series;
 use cxl_fault::FaultKind;
-use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
 use cxl_stats::rng::stream_rng;
@@ -46,6 +45,14 @@ use crate::demand::{DemandConfig, DemandProcess};
 use crate::lease::HostId;
 use crate::manager::{PoolManager, PoolStats, RevocationNotice};
 use crate::sim::DRAM_NODE;
+
+mod obs {
+    use cxl_obs::Counter;
+
+    pub static CROSS_RACK_GRANTS: Counter = Counter::new("fleet/cross_rack_grants");
+    pub static RACK_FAULTS: Counter = Counter::new("fleet/rack_faults");
+    pub static SLO_VIOLATION_HOST_STEPS: Counter = Counter::new("fleet/slo_violation_host_steps");
+}
 
 const GIB: u64 = 1 << 30;
 
@@ -649,7 +656,7 @@ impl FleetState {
                 if r != my_rack {
                     self.racks[r].lent_slabs += got;
                     self.cross_grants += 1;
-                    obs::counter_add("fleet/cross_rack_grants", 1);
+                    obs::CROSS_RACK_GRANTS.add(1);
                 }
                 self.hosts[h].granted[r] += got;
                 let cap = self.hosts[h].granted[r] * slab_bytes;
@@ -794,7 +801,7 @@ impl FleetState {
             self.host_steps += 1;
             if self.ssd_pages(h) > 0 {
                 self.hosts[h].violation_steps += 1;
-                obs::counter_add("fleet/slo_violation_host_steps", 1);
+                obs::SLO_VIOLATION_HOST_STEPS.add(1);
             }
             let ws = self.hosts[h].demand.working_set_gib(now);
             if ws > self.hosts[h].static_cap_gib + 1e-9 {
@@ -851,7 +858,7 @@ impl FleetState {
         }
         self.racks[rack].lent_slabs = 0;
         self.fault_fired = true;
-        obs::counter_add("fleet/rack_faults", 1);
+        obs::RACK_FAULTS.add(1);
     }
 
     fn into_report(self, plan: &FleetPlan) -> FleetReport {

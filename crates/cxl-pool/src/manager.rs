@@ -12,12 +12,27 @@
 
 use std::collections::VecDeque;
 
-use cxl_obs as obs;
 use cxl_sim::SimTime;
 use serde::Serialize;
 
 use crate::address::PoolAddressSpace;
 use crate::lease::{HostId, Lease};
+
+mod obs {
+    use cxl_obs::{Counter, Hist, Max};
+
+    pub static DEFRAG_SLABS_MOVED: Counter = Counter::new("pool/defrag_slabs_moved");
+    pub static DEFRAGS: Counter = Counter::new("pool/defrags");
+    pub static FRAG_PEAK_PERMILLE: Max = Max::new("pool/frag_peak_permille");
+    pub static FRAGMENTED_GRANTS: Counter = Counter::new("pool/fragmented_grants");
+    pub static GRANTS: Counter = Counter::new("pool/grants");
+    pub static LEASE_WAIT_NS: Hist = Hist::new("pool/lease_wait_ns");
+    pub static MASS_REVOCATIONS: Counter = Counter::new("pool/mass_revocations");
+    pub static OCCUPANCY_PEAK_SLABS: Max = Max::new("pool/occupancy_peak_slabs");
+    pub static PARTIAL_GRANTS: Counter = Counter::new("pool/partial_grants");
+    pub static QUEUED: Counter = Counter::new("pool/queued");
+    pub static REVOCATIONS: Counter = Counter::new("pool/revocations");
+}
 
 /// Immediate answer to a lease request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -242,7 +257,7 @@ impl PoolManager {
         let shortfall = slabs - granted;
         let outcome = if shortfall == 0 {
             self.stats.grants += 1;
-            obs::counter_add("pool/grants", 1);
+            obs::GRANTS.add(1);
             GrantOutcome::Granted { slabs: granted }
         } else {
             self.queue.push_back(Waiter {
@@ -252,10 +267,10 @@ impl PoolManager {
             });
             self.leases[host.0].pending_slabs += shortfall;
             self.stats.queued_requests += 1;
-            obs::counter_add("pool/queued", 1);
+            obs::QUEUED.add(1);
             if granted > 0 {
                 self.stats.partial_grants += 1;
-                obs::counter_add("pool/partial_grants", 1);
+                obs::PARTIAL_GRANTS.add(1);
                 GrantOutcome::Partial {
                     granted,
                     queued: shortfall,
@@ -323,7 +338,7 @@ impl PoolManager {
                 lease.total_revoked_slabs += lease.granted_slabs;
                 self.stats.revoked_slabs += lease.granted_slabs;
                 self.stats.revocations += 1;
-                obs::counter_add("pool/revocations", 1);
+                obs::REVOCATIONS.add(1);
             }
             self.space.release_all(lease.host.lease());
             lease.granted_slabs = 0;
@@ -333,7 +348,7 @@ impl PoolManager {
         self.reclaiming.iter_mut().for_each(|r| *r = 0);
         self.offline = true;
         self.stats.mass_revocations += 1;
-        obs::counter_add("pool/mass_revocations", 1);
+        obs::MASS_REVOCATIONS.add(1);
         notices
     }
 
@@ -343,7 +358,7 @@ impl PoolManager {
         self.leases[host.0].granted_slabs += granted;
         self.leases[host.0].total_granted_slabs += granted;
         if extents.len() > 1 {
-            obs::counter_add("pool/fragmented_grants", 1);
+            obs::FRAGMENTED_GRANTS.add(1);
         }
         granted
     }
@@ -366,7 +381,7 @@ impl PoolManager {
             self.stats.deferred_grants += 1;
             self.stats.total_wait_ns += waited.as_ns();
             self.stats.max_wait_ns = self.stats.max_wait_ns.max(waited.as_ns());
-            obs::record("pool/lease_wait_ns", waited.as_ns());
+            obs::LEASE_WAIT_NS.record(waited.as_ns());
             grants.push(Grant {
                 host,
                 slabs: give,
@@ -412,7 +427,7 @@ impl PoolManager {
             self.leases[host.0].total_revoked_slabs += take;
             self.stats.revocations += 1;
             self.stats.revoked_slabs += take;
-            obs::counter_add("pool/revocations", 1);
+            obs::REVOCATIONS.add(1);
             notices.push(RevocationNotice { host, slabs: take });
             needed -= take;
         }
@@ -426,14 +441,14 @@ impl PoolManager {
     fn maybe_defrag(&mut self) {
         let frag = self.space.fragmentation();
         self.stats.peak_fragmentation = self.stats.peak_fragmentation.max(frag);
-        obs::counter_max("pool/frag_peak_permille", (frag * 1000.0) as u64);
+        obs::FRAG_PEAK_PERMILLE.raise((frag * 1000.0) as u64);
         if frag > self.defrag_threshold {
             let moved = self.space.defrag();
             if moved > 0 {
                 self.stats.defrags += 1;
                 self.stats.defrag_slabs_moved += moved;
-                obs::counter_add("pool/defrags", 1);
-                obs::counter_add("pool/defrag_slabs_moved", moved);
+                obs::DEFRAGS.add(1);
+                obs::DEFRAG_SLABS_MOVED.add(moved);
             }
         }
     }
@@ -441,7 +456,7 @@ impl PoolManager {
     fn note_occupancy(&mut self) {
         let used = self.space.used_slabs();
         self.stats.peak_used_slabs = self.stats.peak_used_slabs.max(used);
-        obs::counter_max("pool/occupancy_peak_slabs", used);
+        obs::OCCUPANCY_PEAK_SLABS.raise(used);
     }
 }
 

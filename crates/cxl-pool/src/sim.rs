@@ -19,7 +19,6 @@
 //! rests on.
 
 use cxl_fault::FaultKind;
-use cxl_obs as obs;
 use cxl_perf::{AccessMix, MemSystem};
 use cxl_sim::{Engine, SimTime};
 use cxl_tier::{PageId, TierConfig, TierManager};
@@ -29,6 +28,14 @@ use serde::Serialize;
 use crate::demand::{DemandConfig, DemandProcess};
 use crate::lease::HostId;
 use crate::manager::{Grant, PoolManager, PoolStats, RevocationNotice};
+
+mod obs {
+    use cxl_obs::{Counter, Max};
+
+    pub static EXPANDER_FAULTS: Counter = Counter::new("pool/expander_faults");
+    pub static QUEUED_SLABS_PEAK: Max = Max::new("pool/queued_slabs_peak");
+    pub static SLO_VIOLATION_HOST_STEPS: Counter = Counter::new("pool/slo_violation_host_steps");
+}
 
 /// DRAM node id inside each host's [`Topology::pooled_host`].
 pub const DRAM_NODE: NodeId = NodeId(0);
@@ -395,14 +402,14 @@ impl PoolState {
             self.host_steps += 1;
             if self.ssd_pages(h) > 0 {
                 self.hosts[h].violation_steps += 1;
-                obs::counter_add("pool/slo_violation_host_steps", 1);
+                obs::SLO_VIOLATION_HOST_STEPS.add(1);
             }
             let ws = self.hosts[h].demand.working_set_gib(now);
             if ws > self.hosts[h].static_cap_gib + 1e-9 {
                 self.hosts[h].static_violation_steps += 1;
             }
         }
-        obs::counter_max("pool/queued_slabs_peak", self.manager.queued_slabs());
+        obs::QUEUED_SLABS_PEAK.raise(self.manager.queued_slabs());
     }
 
     /// The pool expander dies: mass revocation + per-host evacuation.
@@ -425,7 +432,7 @@ impl PoolState {
             self.hosts[h].granted_slabs = 0;
         }
         self.fault_fired = true;
-        obs::counter_add("pool/expander_faults", 1);
+        obs::EXPANDER_FAULTS.add(1);
     }
 
     fn into_report(self) -> PoolSimReport {

@@ -40,6 +40,37 @@ use cxl_ycsb::Workload;
 use crate::arrival::generate_arrivals;
 use crate::config::{ServeConfig, TenantClass, TenantConfig};
 
+mod obs {
+    use cxl_obs::{Counter, Hist, Max};
+
+    pub static SERVED: Counter = Counter::new("serve/served");
+    pub static SOJOURN_US: Hist = Hist::new("serve/sojourn_us");
+    pub static SHED: Counter = Counter::new("serve/shed");
+    pub static REJECTED: Counter = Counter::new("serve/rejected");
+    pub static FAULTS_INJECTED: Counter = Counter::new("serve/faults_injected");
+    pub static LEASE_REJECTED: Counter = Counter::new("serve/lease_rejected");
+    pub static GUARDRAIL_VIOLATIONS: Counter = Counter::new("serve/guardrail_violations");
+
+    /// One tenant's members of the `serve/{tenant}/…` label families.
+    pub struct TenantObs {
+        pub served: Counter,
+        pub shed: Counter,
+        pub rejected: Counter,
+        pub peak_lease_slabs: Max,
+    }
+
+    impl TenantObs {
+        pub fn new(tenant: &str) -> Self {
+            TenantObs {
+                served: Counter::interned(&format!("serve/{tenant}/served")),
+                shed: Counter::interned(&format!("serve/{tenant}/shed")),
+                rejected: Counter::interned(&format!("serve/{tenant}/rejected")),
+                peak_lease_slabs: Max::interned(&format!("serve/{tenant}/peak_lease_slabs")),
+            }
+        }
+    }
+}
+
 /// SNC-disabled paper testbed: 0,1 = DRAM sockets; 2,3 = CXL on s0.
 const DRAM0: NodeId = NodeId(0);
 /// The fixed expander that dies at the fault instant.
@@ -178,6 +209,7 @@ struct TenantRt {
     max_queue: usize,
     pre_hist: Histogram,
     post_hist: Histogram,
+    obs: obs::TenantObs,
 }
 
 impl TenantRt {
@@ -272,6 +304,7 @@ impl ServeWorld {
                     max_queue: 0,
                     pre_hist: Histogram::new(),
                     post_hist: Histogram::new(),
+                    obs: obs::TenantObs::new(&t.name),
                 }
             })
             .collect::<Vec<_>>();
@@ -352,12 +385,7 @@ impl ServeWorld {
         // Peak (a running max), not the instantaneous level: cells of a
         // study share this registry, so only commutative aggregates stay
         // identical under any worker schedule.
-        if cxl_obs::active() {
-            cxl_obs::counter_max(
-                &format!("serve/{}/peak_lease_slabs", self.tenants[ti].cfg.name),
-                target,
-            );
-        }
+        t.obs.peak_lease_slabs.raise(target);
         Ok(())
     }
 
@@ -394,7 +422,7 @@ impl ServeWorld {
             }
         }
         self.fault_fired = true;
-        cxl_obs::counter_add("serve/faults_injected", 1);
+        obs::FAULTS_INJECTED.add(1);
     }
 }
 
@@ -462,18 +490,14 @@ fn on_arrival(e: &mut Engine<ServeWorld>, ti: usize, work: Work) {
     // queue is backpressure for traffic the budget already admitted.
     if !t.bucket.try_take(now, 1.0) {
         t.shed += 1;
-        cxl_obs::counter_add("serve/shed", 1);
-        if cxl_obs::active() {
-            cxl_obs::counter_add(&format!("serve/{}/shed", t.cfg.name), 1);
-        }
+        obs::SHED.add(1);
+        t.obs.shed.add(1);
         return;
     }
     if t.queue.len() >= t.cfg.queue_cap {
         t.rejected += 1;
-        cxl_obs::counter_add("serve/rejected", 1);
-        if cxl_obs::active() {
-            cxl_obs::counter_add(&format!("serve/{}/rejected", t.cfg.name), 1);
-        }
+        obs::REJECTED.add(1);
+        t.obs.rejected.add(1);
         return;
     }
     t.queue.push_back(Queued { arrived: now, work });
@@ -519,11 +543,9 @@ fn on_complete(e: &mut Engine<ServeWorld>, ti: usize, arrived: SimTime) {
     } else {
         t.pre_hist.record(lat_us);
     }
-    cxl_obs::counter_add("serve/served", 1);
-    cxl_obs::record("serve/sojourn_us", lat_us);
-    if cxl_obs::active() {
-        cxl_obs::counter_add(&format!("serve/{}/served", t.cfg.name), 1);
-    }
+    obs::SERVED.add(1);
+    obs::SOJOURN_US.record(lat_us);
+    t.obs.served.add(1);
     dispatch(e, ti);
 }
 
@@ -573,13 +595,13 @@ fn autoscale_tick(e: &mut Engine<ServeWorld>) {
                 // Contention for the shared pool is normal operation:
                 // count it and retry on a later tick.
                 w.lease_rejected += 1;
-                cxl_obs::counter_add("serve/lease_rejected", 1);
+                obs::LEASE_REJECTED.add(1);
             }
             Err(e) => unreachable!("knob index is always valid: {e:?}"),
         }
         if let Err(msg) = w.check_invariants() {
             w.guardrail_violations += 1;
-            cxl_obs::counter_add("serve/guardrail_violations", 1);
+            obs::GUARDRAIL_VIOLATIONS.add(1);
             debug_assert!(false, "serve invariant violated: {msg}");
         }
         // After a successful lease change a burst of queued work may now

@@ -24,6 +24,22 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
+mod obs {
+    use cxl_obs::{Counter, Max};
+
+    pub static EVENTS_EXECUTED: Counter = Counter::new("sim/events_executed");
+    pub static EVENTS_CANCELLED: Counter = Counter::new("sim/events_cancelled");
+    pub static HEAP_DEPTH_MAX: Max = Max::new("sim/heap_depth_max");
+    #[cfg(feature = "detailed-stats")]
+    pub static SLOTS_REUSED: Counter = Counter::new("sim/slots_reused");
+    #[cfg(feature = "detailed-stats")]
+    pub static ARENA_SLOTS: Max = Max::new("sim/arena_slots");
+    #[cfg(feature = "detailed-stats")]
+    pub static HEAP_COMPACTIONS: Counter = Counter::new("sim/heap_compactions");
+    #[cfg(feature = "detailed-stats")]
+    pub static TOMBSTONES_REAPED: Counter = Counter::new("sim/tombstones_reaped");
+}
+
 /// Handle to a scheduled event, usable for cancellation.
 ///
 /// Packs the arena slot index and the slot's generation at scheduling
@@ -140,14 +156,14 @@ impl<S> Engine<S> {
         let slot = match self.free.pop() {
             Some(s) => {
                 #[cfg(feature = "detailed-stats")]
-                cxl_obs::counter_add("sim/slots_reused", 1);
+                obs::SLOTS_REUSED.add(1);
                 s
             }
             None => {
                 self.slots.push(Slot { gen: 0, f: None });
                 debug_assert!(self.slots.len() <= u32::MAX as usize, "arena overflow");
                 #[cfg(feature = "detailed-stats")]
-                cxl_obs::counter_max("sim/arena_slots", self.slots.len() as u64);
+                obs::ARENA_SLOTS.raise(self.slots.len() as u64);
                 (self.slots.len() - 1) as u32
             }
         };
@@ -157,7 +173,7 @@ impl<S> Engine<S> {
         self.seq += 1;
         self.live += 1;
         // True live depth: tombstones of cancelled events don't count.
-        cxl_obs::counter_max("sim/heap_depth_max", self.live as u64);
+        obs::HEAP_DEPTH_MAX.raise(self.live as u64);
         id
     }
 
@@ -204,7 +220,7 @@ impl<S> Engine<S> {
             if slot.gen == id.gen() && slot.f.is_some() {
                 slot.f = None; // Tombstone; the heap entry reaps lazily.
                 self.live -= 1;
-                cxl_obs::counter_add("sim/events_cancelled", 1);
+                obs::EVENTS_CANCELLED.add(1);
                 self.maybe_compact();
             }
         }
@@ -236,7 +252,7 @@ impl<S> Engine<S> {
         });
         self.heap = BinaryHeap::from(entries);
         #[cfg(feature = "detailed-stats")]
-        cxl_obs::counter_add("sim/heap_compactions", 1);
+        obs::HEAP_COMPACTIONS.add(1);
     }
 
     /// Returns the slot to the free list, invalidating outstanding ids.
@@ -257,7 +273,7 @@ impl<S> Engine<S> {
                 self.heap.pop();
                 self.free_slot(si);
                 #[cfg(feature = "detailed-stats")]
-                cxl_obs::counter_add("sim/tombstones_reaped", 1);
+                obs::TOMBSTONES_REAPED.add(1);
                 continue;
             }
             if let Some(limit) = until {
@@ -273,7 +289,7 @@ impl<S> Engine<S> {
             self.live -= 1;
             self.now = t;
             self.executed += 1;
-            cxl_obs::counter_add("sim/events_executed", 1);
+            obs::EVENTS_EXECUTED.add(1);
             f(self);
             return true;
         }

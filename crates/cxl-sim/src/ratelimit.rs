@@ -6,6 +6,9 @@
 
 use crate::time::SimTime;
 
+static TIME_REGRESSIONS: cxl_obs::Counter =
+    cxl_obs::Counter::new("sim/tokenbucket_time_regressions");
+
 /// A token bucket refilling continuously in virtual time.
 ///
 /// Tokens are abstract units (the tiering layer uses bytes).
@@ -56,7 +59,7 @@ impl TokenBucket {
         // refill, `last` unchanged, so the bucket is never refilled from
         // an interval that already elapsed once.
         if now < self.last {
-            cxl_obs::counter_add("sim/tokenbucket_time_regressions", 1);
+            TIME_REGRESSIONS.add(1);
             #[cfg(all(debug_assertions, not(feature = "soft-time-regression")))]
             panic!(
                 "token bucket observed time regression: now {now:?} < last {last:?}",

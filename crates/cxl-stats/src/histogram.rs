@@ -61,6 +61,7 @@ impl Histogram {
         }
     }
 
+    #[inline]
     fn bucket_index(value: u64) -> usize {
         let v = value.max(1);
         let msb = 63 - v.leading_zeros();
@@ -87,11 +88,13 @@ impl Histogram {
     }
 
     /// Records one value.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
     }
 
     /// Records `n` occurrences of `value`.
+    #[inline]
     pub fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;

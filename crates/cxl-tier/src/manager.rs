@@ -13,6 +13,47 @@ use crate::stats::{TierSnapshot, TierStats};
 use crate::trace::{TierEvent, TraceRing};
 use crate::traffic::TrafficEpoch;
 
+mod obs {
+    use cxl_obs::{Counter, Hist};
+
+    pub static SSD_SPILLS: Counter = Counter::new("tier/ssd_spills");
+    pub static HINT_FAULTS: Counter = Counter::new("tier/hint_faults");
+    pub static PROMOTIONS: Counter = Counter::new("tier/promotions");
+    pub static PROMOTIONS_BW_SUPPRESSED: Counter = Counter::new("tier/promotions_bw_suppressed");
+    pub static PROMOTIONS_NOT_HOT: Counter = Counter::new("tier/promotions_not_hot");
+    pub static PROMOTIONS_BELOW_STREAK: Counter = Counter::new("tier/promotions_below_streak");
+    pub static PROMOTIONS_RATE_LIMITED: Counter = Counter::new("tier/promotions_rate_limited");
+    pub static DEMOTIONS: Counter = Counter::new("tier/demotions");
+    pub static DEMOTIONS_TARGET_FULL: Counter = Counter::new("tier/demotions_target_full");
+    pub static DEMOTIONS_LOCAL_SOCKET: Counter = Counter::new("tier/demotions_local_socket");
+    pub static DEMOTIONS_REMOTE_SOCKET: Counter = Counter::new("tier/demotions_remote_socket");
+    pub static MIGRATION_BYTES: Counter = Counter::new("tier/migration_bytes");
+    pub static EVICTIONS_TO_SSD: Counter = Counter::new("tier/evictions_to_ssd");
+    pub static SSD_LOADS: Counter = Counter::new("tier/ssd_loads");
+    pub static EVACUATIONS: Counter = Counter::new("tier/evacuations");
+    pub static EVACUATED_PAGES: Counter = Counter::new("tier/evacuated_pages");
+    pub static EVACUATED_TO_SSD: Counter = Counter::new("tier/evacuated_to_ssd");
+    pub static EVACUATION_DURATION_NS: Hist = Hist::new("tier/evacuation_duration_ns");
+
+    /// The per-node members of the `tier/…/node{N}` label families.
+    #[derive(Debug, Clone)]
+    pub struct NodeObs {
+        pub promotions_to: Counter,
+        pub demotions_to: Counter,
+        pub occupancy_pages: Hist,
+    }
+
+    impl NodeObs {
+        pub fn new(node: usize) -> Self {
+            NodeObs {
+                promotions_to: Counter::interned(&format!("tier/promotions/to_node{node}")),
+                demotions_to: Counter::interned(&format!("tier/demotions/to_node{node}")),
+                occupancy_pages: Hist::interned(&format!("tier/node{node}/occupancy_pages")),
+            }
+        }
+    }
+}
+
 /// Read or write access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rw {
@@ -133,6 +174,7 @@ struct NodeInfo {
     socket: SocketId,
     capacity_pages: u64,
     used_pages: u64,
+    obs: obs::NodeObs,
 }
 
 /// Page-granular tiered memory manager over a topology.
@@ -208,6 +250,7 @@ impl TierManager {
                     socket: n.socket,
                     capacity_pages: cap_bytes / cfg.page_size,
                     used_pages: 0,
+                    obs: obs::NodeObs::new(n.id.0),
                 }
             })
             .collect();
@@ -552,7 +595,7 @@ impl TierManager {
             self.pages.push(PageMeta::new(Location::Ssd));
             self.stats.allocated += 1;
             self.stats.ssd_spills += 1;
-            cxl_obs::counter_add("tier/ssd_spills", 1);
+            obs::SSD_SPILLS.add(1);
             Ok(id)
         } else {
             Err(OutOfMemory)
@@ -652,7 +695,7 @@ impl TierManager {
         let prev_fault = meta.last_hint_fault;
         meta.last_hint_fault = now;
         self.stats.hint_faults += 1;
-        cxl_obs::counter_add("tier/hint_faults", 1);
+        obs::HINT_FAULTS.add(1);
         outcome.hint_fault = true;
         outcome.fault_cost = match &self.cfg.migration {
             MigrationMode::NumaBalancing(b) => b.hint_fault_cost,
@@ -683,7 +726,7 @@ impl TierManager {
                 // §5.3: never promote into a bandwidth-saturated top tier.
                 if self.dram_bw_util > b.high_watermark {
                     self.stats.promotions_bw_suppressed += 1;
-                    cxl_obs::counter_add("tier/promotions_bw_suppressed", 1);
+                    obs::PROMOTIONS_BW_SUPPRESSED.add(1);
                     self.record_trace(now, TierEvent::PromotionSuppressed { page });
                 } else {
                     outcome.promoted = self.hot_page_promotion(page, node, prev_fault, now);
@@ -752,7 +795,7 @@ impl TierManager {
         if !recent {
             self.pages[page.0 as usize].fault_streak = 0;
             self.stats.promotions_not_hot += 1;
-            cxl_obs::counter_add("tier/promotions_not_hot", 1);
+            obs::PROMOTIONS_NOT_HOT.add(1);
             return false;
         }
         let streak = {
@@ -762,7 +805,7 @@ impl TierManager {
         };
         if streak < self.promote_after_faults {
             self.stats.promotions_below_streak += 1;
-            cxl_obs::counter_add("tier/promotions_below_streak", 1);
+            obs::PROMOTIONS_BELOW_STREAK.add(1);
             return false;
         }
         self.promo_candidates_period += 1;
@@ -776,7 +819,7 @@ impl TierManager {
             self.promote(page, node, now)
         } else {
             self.stats.promotions_rate_limited += 1;
-            cxl_obs::counter_add("tier/promotions_rate_limited", 1);
+            obs::PROMOTIONS_RATE_LIMITED.add(1);
             false
         }
     }
@@ -789,10 +832,8 @@ impl TierManager {
         };
         self.move_page(page, from, target, now);
         self.stats.promotions += 1;
-        if cxl_obs::active() {
-            cxl_obs::counter_add("tier/promotions", 1);
-            cxl_obs::counter_add(&format!("tier/promotions/to_node{}", target.0), 1);
-        }
+        obs::PROMOTIONS.add(1);
+        self.nodes[target.0].obs.promotions_to.add(1);
         true
     }
 
@@ -848,7 +889,7 @@ impl TierManager {
     ) -> bool {
         if !self.has_room(target) {
             self.stats.demotions_target_full += 1;
-            cxl_obs::counter_add("tier/demotions_target_full", 1);
+            obs::DEMOTIONS_TARGET_FULL.add(1);
             match self.demotion_target(self.cfg.accessor_socket) {
                 Some(fresh) => target = fresh,
                 None => {
@@ -863,18 +904,13 @@ impl TierManager {
         if remote {
             self.stats.demotions_remote_socket += 1;
         }
-        if cxl_obs::active() {
-            cxl_obs::counter_add("tier/demotions", 1);
-            cxl_obs::counter_add(
-                if remote {
-                    "tier/demotions_remote_socket"
-                } else {
-                    "tier/demotions_local_socket"
-                },
-                1,
-            );
-            cxl_obs::counter_add(&format!("tier/demotions/to_node{}", target.0), 1);
+        obs::DEMOTIONS.add(1);
+        if remote {
+            obs::DEMOTIONS_REMOTE_SOCKET.add(1);
+        } else {
+            obs::DEMOTIONS_LOCAL_SOCKET.add(1);
         }
+        self.nodes[target.0].obs.demotions_to.add(1);
         true
     }
 
@@ -926,7 +962,7 @@ impl TierManager {
         self.rings[to.0].push_back(page);
         self.epoch.record_migration(from, to, self.cfg.page_size);
         self.stats.migration_bytes += self.cfg.page_size;
-        cxl_obs::counter_add("tier/migration_bytes", self.cfg.page_size);
+        obs::MIGRATION_BYTES.add(self.cfg.page_size);
         if self.trace.is_some() {
             let event = if self.nodes[to.0].tier.is_top_tier() {
                 TierEvent::Promoted { page, from, to }
@@ -952,7 +988,7 @@ impl TierManager {
         meta.hint_installed = false;
         self.nodes[node.0].used_pages -= 1;
         self.stats.evictions_to_ssd += 1;
-        cxl_obs::counter_add("tier/evictions_to_ssd", 1);
+        obs::EVICTIONS_TO_SSD.add(1);
         self.epoch.record_ssd(self.cfg.page_size, true);
         self.record_trace(
             SimTime::ZERO.max(self.last_trace_time()),
@@ -989,7 +1025,7 @@ impl TierManager {
         self.nodes[target.0].used_pages += 1;
         self.rings[target.0].push_back(page);
         self.stats.ssd_loads += 1;
-        cxl_obs::counter_add("tier/ssd_loads", 1);
+        obs::SSD_LOADS.add(1);
         self.epoch.record_ssd(self.cfg.page_size, false);
         self.record_node_access(target, self.cfg.page_size, true);
         self.record_trace(now, TierEvent::LoadedFromSsd { page, to: target });
@@ -1116,12 +1152,10 @@ impl TierManager {
         self.stats.evacuations += 1;
         self.stats.evacuated_pages += total_pages;
         self.stats.evacuated_to_ssd += to_ssd;
-        if cxl_obs::active() {
-            cxl_obs::counter_add("tier/evacuations", 1);
-            cxl_obs::counter_add("tier/evacuated_pages", total_pages);
-            cxl_obs::counter_add("tier/evacuated_to_ssd", to_ssd);
-            cxl_obs::record("tier/evacuation_duration_ns", (completed_at - now).as_ns());
-        }
+        obs::EVACUATIONS.add(1);
+        obs::EVACUATED_PAGES.add(total_pages);
+        obs::EVACUATED_TO_SSD.add(to_ssd);
+        obs::EVACUATION_DURATION_NS.record((completed_at - now).as_ns());
         Ok(EvacuationReport {
             node,
             pages_moved: moved,
@@ -1150,15 +1184,9 @@ impl TierManager {
     /// histograms, one point per tick. Ticks advance in simulated time,
     /// so the sampled distribution is deterministic.
     fn sample_occupancy(&self) {
-        if !cxl_obs::active() {
-            return;
-        }
         for n in &self.nodes {
             if n.capacity_pages > 0 {
-                cxl_obs::record(
-                    &format!("tier/node{}/occupancy_pages", n.id.0),
-                    n.used_pages,
-                );
+                n.obs.occupancy_pages.record(n.used_pages);
             }
         }
     }

@@ -149,6 +149,25 @@ pub struct Generator {
     next_insert_key: u64,
 }
 
+/// Per-type op counters, indexed by [`op_kind`].
+static OPS: [cxl_obs::Counter; 5] = [
+    cxl_obs::Counter::new("ycsb/ops/read"),
+    cxl_obs::Counter::new("ycsb/ops/update"),
+    cxl_obs::Counter::new("ycsb/ops/insert"),
+    cxl_obs::Counter::new("ycsb/ops/scan"),
+    cxl_obs::Counter::new("ycsb/ops/rmw"),
+];
+
+fn op_kind(op: &Op) -> usize {
+    match op {
+        Op::Read(_) => 0,
+        Op::Update(_) => 1,
+        Op::Insert(_) => 2,
+        Op::Scan { .. } => 3,
+        Op::ReadModifyWrite(_) => 4,
+    }
+}
+
 impl Generator {
     /// Creates a generator for a workload.
     ///
@@ -196,16 +215,7 @@ impl Generator {
     /// Draws the next operation.
     pub fn next_op(&mut self) -> Op {
         let op = self.draw_op();
-        cxl_obs::counter_add(
-            match op {
-                Op::Read(_) => "ycsb/ops/read",
-                Op::Update(_) => "ycsb/ops/update",
-                Op::Insert(_) => "ycsb/ops/insert",
-                Op::Scan { .. } => "ycsb/ops/scan",
-                Op::ReadModifyWrite(_) => "ycsb/ops/rmw",
-            },
-            1,
-        );
+        OPS[op_kind(&op)].add(1);
         op
     }
 
@@ -250,26 +260,13 @@ impl Generator {
         let ops: Vec<Op> = (0..n)
             .map(|_| {
                 let op = self.draw_op();
-                tally[match op {
-                    Op::Read(_) => 0,
-                    Op::Update(_) => 1,
-                    Op::Insert(_) => 2,
-                    Op::Scan { .. } => 3,
-                    Op::ReadModifyWrite(_) => 4,
-                }] += 1;
+                tally[op_kind(&op)] += 1;
                 op
             })
             .collect();
-        const NAMES: [&str; 5] = [
-            "ycsb/ops/read",
-            "ycsb/ops/update",
-            "ycsb/ops/insert",
-            "ycsb/ops/scan",
-            "ycsb/ops/rmw",
-        ];
-        for (name, &count) in NAMES.iter().zip(&tally) {
+        for (counter, &count) in OPS.iter().zip(&tally) {
             if count > 0 {
-                cxl_obs::counter_add(name, count);
+                counter.add(count);
             }
         }
         ops

@@ -16,7 +16,9 @@ overwrite), and derives the headline ratios:
 * `ycsb_gen_speedup` — per-op YCSB generation over block generation
   with a live obs registry (the fig5-slice amortization),
 * `tier_touch_speedup` — per-op tier-manager touch over `touch_batch`
-  on the identical access pattern.
+  on the identical access pattern,
+* `obs_ns_per_record` — one `cxl-obs` handle record into a live scope
+  (the `obs_record` slice makes 1M records per iteration).
 """
 
 import json
@@ -55,6 +57,9 @@ def main(src: str, dst: str) -> int:
             "ycsb_gen_speedup": ratio("speed/ycsb_gen_per_op", "speed/ycsb_gen_batched"),
             "tier_touch_speedup": ratio(
                 "speed/tier_touch_per_op", "speed/tier_touch_batched"
+            ),
+            "obs_ns_per_record": (
+                round(mean("speed/obs_record") / 1e6, 2) if mean("speed/obs_record") else None
             ),
         },
     }
