@@ -51,13 +51,10 @@ fn bench_speed(c: &mut Criterion) {
         b.iter(|| black_box(speed::obs_record_slice(1_000_000)))
     });
 
-    // Tier-manager touch hot path: touch_batch vs per-op touch over
-    // the identical access pattern (pinned equal by touch_props).
-    g.bench_function("tier_touch_batched", |b| {
-        b.iter(|| black_box(speed::tier_touch_slice(100_000, true)))
-    });
+    // Tier-manager touch hot path: 100k touches under hot-page
+    // selection (mean_ns / 1e5 is ns per touch).
     g.bench_function("tier_touch_per_op", |b| {
-        b.iter(|| black_box(speed::tier_touch_slice(100_000, false)))
+        b.iter(|| black_box(speed::tier_touch_slice(100_000)))
     });
 
     // KV macro slice: one reduced Fig. 5 cell (Hot-Promote, YCSB-C).

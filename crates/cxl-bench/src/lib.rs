@@ -60,13 +60,55 @@ where
         let Some(v) = operand else {
             return Err("--jobs needs a worker count".into());
         };
-        return match v.parse::<usize>() {
-            Ok(0) => Err("--jobs must be at least 1".into()),
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(format!("--jobs expects a positive integer, got {v:?}")),
-        };
+        return jobs_operand(&v).map(Some);
     }
     Ok(None)
+}
+
+fn jobs_operand(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(0) => Err("--jobs must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("--jobs expects a positive integer, got {v:?}")),
+    }
+}
+
+/// Checks a regeneration binary's arguments (program name excluded):
+/// `--jobs N`, `--metrics PATH` (or their `=` forms), `--json` and
+/// `--chart`, each operand present and every `--jobs` a positive
+/// integer.
+///
+/// # Errors
+///
+/// Any other argument, or a missing or malformed operand.
+pub fn check_args<I, S>(args: I) -> Result<(), String>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        match a.as_ref() {
+            "--json" | "--chart" => {}
+            "--jobs" => {
+                let v = args.next().ok_or("--jobs needs a worker count")?;
+                jobs_operand(v.as_ref())?;
+            }
+            "--metrics" => {
+                args.next().ok_or("--metrics needs a path")?;
+            }
+            a => {
+                if let Some(v) = a.strip_prefix("--jobs=") {
+                    jobs_operand(v)?;
+                } else if !a.starts_with("--metrics=") {
+                    return Err(format!(
+                        "unknown argument {a:?} (accepted: --jobs N, --metrics PATH, --json, --chart)"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Destination of the metrics export, from `--metrics <path>`,
@@ -89,10 +131,11 @@ pub fn metrics_path() -> Option<std::path::PathBuf> {
         .map(Into::into)
 }
 
-/// Enables metrics collection when a destination is configured and
-/// exports the registry when dropped.
+/// Validates the command line, then enables metrics collection when a
+/// destination is configured and exports the registry when dropped.
 ///
-/// Call at the top of every regeneration binary's `main`:
+/// Arguments [`check_args`] rejects print the reason and exit with
+/// status 2. Call at the top of every regeneration binary's `main`:
 ///
 /// ```no_run
 /// let _metrics = cxl_bench::metrics_guard();
@@ -102,6 +145,10 @@ pub fn metrics_path() -> Option<std::path::PathBuf> {
 /// instrumentation throughout the simulation crates remains a no-op.
 #[must_use = "the guard exports metrics when dropped"]
 pub fn metrics_guard() -> MetricsGuard {
+    if let Err(e) = check_args(std::env::args().skip(1)) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let path = metrics_path();
     if path.is_some() {
         cxl_obs::enable();
@@ -216,5 +263,42 @@ mod tests {
         ] {
             assert!(parse_jobs(args).is_err(), "{args:?} accepted");
         }
+    }
+
+    #[test]
+    fn accepted_flags_pass_the_check() {
+        assert_eq!(check_args(Vec::<String>::new()), Ok(()));
+        assert_eq!(
+            check_args([
+                "--json",
+                "--chart",
+                "--jobs",
+                "2",
+                "--jobs=3",
+                "--metrics",
+                "m.json",
+                "--metrics=n.json",
+            ]),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_operands_are_rejected() {
+        for args in [
+            &["--verbose"][..],
+            &["fig5"],
+            &["--json", "-j", "4"],
+            &["--jobs", "8", "--jobz", "2"],
+            &["--metrics"],
+            &["--jobs"],
+            &["--jobs", "0"],
+            &["--jobs=x"],
+            &["--jobs", "2", "--jobs", "x"],
+        ] {
+            assert!(check_args(args).is_err(), "{args:?} accepted");
+        }
+        let err = check_args(["--jsn"]).unwrap_err();
+        assert!(err.contains("unknown argument \"--jsn\""), "{err}");
     }
 }

@@ -295,13 +295,10 @@ pub fn obs_record_slice(records: u64) -> u64 {
 }
 
 /// Drives the tier-manager touch hot path: `touches` accesses over a
-/// strided page pattern with periodic scan ticks, under hot-page
-/// selection (the Fig. 5 regime). `batched: true` goes through
-/// `TierManager::touch_batch` in 256-access blocks, `false` touches
-/// per-op; `tests/touch_props.rs` pins the two paths to identical
-/// outcomes, so the bench ratio isolates dispatch overhead. Returns a
+/// strided page pattern with periodic scan ticks (one per 256
+/// accesses), under hot-page selection (the Fig. 5 regime). Returns a
 /// stats checksum so the work cannot be optimized away.
-pub fn tier_touch_slice(touches: usize, batched: bool) -> u64 {
+pub fn tier_touch_slice(touches: usize) -> u64 {
     use cxl_sim::SimTime;
     use cxl_tier::{
         AllocPolicy, HotPageConfig, MigrationMode, NumaBalancingConfig, Rw, TierConfig, TierManager,
@@ -333,27 +330,15 @@ pub fn tier_touch_slice(touches: usize, batched: bool) -> u64 {
     for (step, chunk_base) in (0..touches).step_by(BLOCK).enumerate() {
         let now = SimTime::from_ms(step as u64 + 1);
         tm.tick(now);
-        let n = BLOCK.min(touches - chunk_base);
-        let batch: Vec<(cxl_tier::PageId, Rw, u64)> = (0..n)
-            .map(|i| {
-                let j = chunk_base + i;
-                // Strided hot set: 1/8 of touches hammer 64 pages.
-                let page = if j % 8 == 0 {
-                    pages[(j * 31) % 64]
-                } else {
-                    pages[(j * 131) % pages.len()]
-                };
-                (page, if j % 4 == 0 { Rw::Write } else { Rw::Read }, 4096)
-            })
-            .collect();
-        if batched {
-            for o in tm.touch_batch(&batch, now) {
-                acc = acc.wrapping_add(o.promoted as u64);
-            }
-        } else {
-            for &(p, rw, bytes) in &batch {
-                acc = acc.wrapping_add(tm.touch(p, rw, bytes, now).promoted as u64);
-            }
+        for j in chunk_base..touches.min(chunk_base + BLOCK) {
+            // Strided hot set: 1/8 of touches hammer 64 pages.
+            let page = if j % 8 == 0 {
+                pages[(j * 31) % 64]
+            } else {
+                pages[(j * 131) % pages.len()]
+            };
+            let rw = if j % 4 == 0 { Rw::Write } else { Rw::Read };
+            acc = acc.wrapping_add(tm.touch(page, rw, 4096, now).promoted as u64);
         }
     }
     acc.wrapping_add(tm.stats().hint_faults)

@@ -1,12 +1,14 @@
 //! Fig. 5: KeyDB under YCSB across the Table 1 configurations (§4.1).
 
+use std::sync::{Arc, OnceLock};
+
 use serde::Serialize;
 
-use cxl_kv::{KvConfig, KvStore, MemProfile};
+use cxl_kv::{KvConfig, KvStore, MemProfile, RunResult};
 use cxl_stats::report::{Figure, Series, Table};
 use cxl_stats::Histogram;
 use cxl_topology::{SncMode, Topology};
-use cxl_ycsb::Workload;
+use cxl_ycsb::{Trace, Workload};
 
 use crate::config::CapacityConfig;
 use crate::runner::Runner;
@@ -53,7 +55,7 @@ impl Fig5Params {
 }
 
 /// One cell of Fig. 5(a) plus its latency histograms.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KeydbCell {
     /// Configuration label.
     pub config: &'static str,
@@ -173,13 +175,7 @@ fn build_store(config: CapacityConfig, params: Fig5Params) -> KvStore {
     KvStore::new(&topo, tier, kv, flash)
 }
 
-/// Runs one cell.
-pub fn run_cell(config: CapacityConfig, workload: Workload, params: Fig5Params) -> KeydbCell {
-    let mut store = build_store(config, params);
-    if params.warmup_ops > 0 {
-        store.run(workload, params.warmup_ops);
-    }
-    let r = store.run(workload, params.ops);
+fn keydb_cell(config: CapacityConfig, workload: Workload, r: RunResult) -> KeydbCell {
     KeydbCell {
         config: config.label(),
         workload: workload.label(),
@@ -188,6 +184,49 @@ pub fn run_cell(config: CapacityConfig, workload: Workload, params: Fig5Params) 
         read_latency: r.read_latency,
         ssd_hits: r.ssd_hits,
     }
+}
+
+/// Runs one cell.
+pub fn run_cell(config: CapacityConfig, workload: Workload, params: Fig5Params) -> KeydbCell {
+    let mut store = build_store(config, params);
+    if params.warmup_ops > 0 {
+        store.run(workload, params.warmup_ops);
+    }
+    let r = store.run(workload, params.ops);
+    keydb_cell(config, workload, r)
+}
+
+/// One workload's op streams — the warm-up run's (if any) and the
+/// measured run's — drawn once and replayed by every configuration.
+struct WorkloadTraces {
+    warmup: Option<Trace>,
+    measured: Trace,
+}
+
+impl WorkloadTraces {
+    /// Draws the streams [`run_cell`] would issue on `store`.
+    fn draw(store: &mut KvStore, workload: Workload, params: Fig5Params) -> Self {
+        let warmup = (params.warmup_ops > 0).then(|| store.trace(workload, params.warmup_ops, 0));
+        let measured = store.trace(workload, params.ops, u64::from(warmup.is_some()));
+        Self { warmup, measured }
+    }
+}
+
+/// [`run_cell`], replaying the workload's shared traces instead of
+/// drawing the streams again. The first cell to arrive draws them.
+fn replay_cell(
+    config: CapacityConfig,
+    workload: Workload,
+    params: Fig5Params,
+    traces: &OnceLock<WorkloadTraces>,
+) -> KeydbCell {
+    let mut store = build_store(config, params);
+    let traces = traces.get_or_init(|| WorkloadTraces::draw(&mut store, workload, params));
+    if let Some(warmup) = &traces.warmup {
+        store.run_trace(warmup);
+    }
+    let r = store.run_trace(&traces.measured);
+    keydb_cell(config, workload, r)
 }
 
 /// Runs the full Fig. 5 grid on the environment-configured runner.
@@ -202,16 +241,32 @@ pub fn run(params: Fig5Params) -> KeydbStudy {
 /// runs the same YCSB stream against every Table 1 configuration), and
 /// the stream is a pure function of the label, so the output is
 /// bit-identical for any worker count.
+///
+/// Since the seven configurations of a workload issue the same streams,
+/// the grid runs workload by workload and the streams are drawn once
+/// per workload as [`Trace`]s. They live in the study's own
+/// `Arc<OnceLock>` per workload, which the workload's seven cells share
+/// and free with the last of them. Cells come back in the
+/// configuration-major order [`run_cell`] loops would produce.
 pub fn run_with(runner: &Runner, params: Fig5Params) -> KeydbStudy {
+    let configs = CapacityConfig::all();
+    let workloads = Workload::all();
     let mut grid = Vec::new();
-    for config in CapacityConfig::all() {
-        for workload in Workload::all() {
-            grid.push((format!("fig5/{}", workload.label()), (config, workload)));
+    for workload in workloads {
+        let traces = Arc::new(OnceLock::new());
+        for config in configs {
+            let item = (config, workload, Arc::clone(&traces));
+            grid.push((format!("fig5/{}", workload.label()), item));
         }
     }
-    let cells = runner.map_seeded(params.seed, grid, |(config, workload), seed| {
-        run_cell(config, workload, Fig5Params { seed, ..params })
+    let cells = runner.map_seeded(params.seed, grid, |(config, workload, traces), seed| {
+        replay_cell(config, workload, Fig5Params { seed, ..params }, &traces)
     });
+    let mut cells: Vec<Option<KeydbCell>> = cells.into_iter().map(Some).collect();
+    let cells = (0..configs.len())
+        .flat_map(|c| (0..workloads.len()).map(move |w| w * configs.len() + c))
+        .map(|i| cells[i].take().expect("each cell is taken once"))
+        .collect();
     KeydbStudy { cells, params }
 }
 
@@ -237,6 +292,28 @@ mod tests {
         assert!(mmem > il, "MMEM {mmem} vs 1:1 {il}");
         assert!(il > ssd, "1:1 {il} vs SSD {ssd}");
         assert!(hp > il, "Hot-Promote {hp} vs 1:1 {il}");
+    }
+
+    #[test]
+    fn shared_traces_match_per_cell_runs() {
+        for warmup_ops in [0, 3_000] {
+            let p = Fig5Params {
+                record_count: 4_000,
+                ops: 2_000,
+                warmup_ops,
+                seed: 3,
+            };
+            let study = run_with(&Runner::serial(), p);
+            let mut expected = Vec::new();
+            for config in CapacityConfig::all() {
+                for workload in Workload::all() {
+                    let seed =
+                        cxl_stats::rng::derive_seed(p.seed, &format!("fig5/{}", workload.label()));
+                    expected.push(run_cell(config, workload, Fig5Params { seed, ..p }));
+                }
+            }
+            assert_eq!(study.cells, expected, "warmup_ops = {warmup_ops}");
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use cxl_perf::{calib, MemSystem, ResourceKind};
@@ -16,12 +15,12 @@ const FLASH_READPATH_NS: f64 = 1_500.0;
 /// filter block lookups and read amplification.
 const ROCKSDB_MISS_NS: f64 = 30_000.0;
 use cxl_sim::{MultiServer, SimTime};
-use cxl_stats::Histogram;
+use cxl_stats::{Histogram, Zipfian};
 use cxl_tier::{
     EvacuationReport, Location, PageId, Rw, TierConfig, TierError, TierManager, TierStats,
 };
 use cxl_topology::{NodeId, Topology};
-use cxl_ycsb::{Generator, GeneratorConfig, Op, Workload};
+use cxl_ycsb::{Generator, GeneratorConfig, Op, Trace, Workload};
 
 /// Ops pre-generated per block in the run loops. Blocks amortize the
 /// generator's per-op obs flush ([`Generator::batch`] tallies counters
@@ -148,7 +147,7 @@ impl Default for KvConfig {
 }
 
 /// Result of one workload run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunResult {
     /// Completed operations.
     pub ops: u64,
@@ -196,7 +195,9 @@ pub struct KvStore {
     lat_ns: Vec<f64>,
     /// CLOCK ring of memory-resident pages for `maxmemory` eviction.
     ring: VecDeque<PageId>,
-    referenced: HashSet<PageId>,
+    /// CLOCK reference bits, indexed by `PageId.0` (the store allocates
+    /// every page its tier manager holds, so ids are dense).
+    referenced: Vec<bool>,
     flash: bool,
     now: SimTime,
     epoch_start: SimTime,
@@ -208,6 +209,9 @@ pub struct KvStore {
     ops_since_decay: u64,
     /// Live serving session, if a `service_request` stream is open.
     serve: Option<ServeSession>,
+    /// The key chooser's Zipfian over `record_count` items, built on the
+    /// first generator and cloned for every later one.
+    zipf: Option<Zipfian>,
 }
 
 impl KvStore {
@@ -239,6 +243,7 @@ impl KvStore {
         }
         let lat_ns = Self::idle_latency_table(&sys, &tm);
         let cfg_seed = cfg.seed;
+        let referenced = vec![false; pages.len()];
         let mut store = Self {
             sys,
             tm,
@@ -246,7 +251,7 @@ impl KvStore {
             pages,
             lat_ns,
             ring,
-            referenced: HashSet::new(),
+            referenced,
             flash,
             now: SimTime::ZERO,
             epoch_start: SimTime::ZERO,
@@ -258,6 +263,7 @@ impl KvStore {
             freq: std::collections::HashMap::new(),
             ops_since_decay: 0,
             serve: None,
+            zipf: None,
         };
         store.tm.drain_epoch(); // Discard load-phase traffic.
         store
@@ -389,7 +395,35 @@ impl KvStore {
                 self.ring.push_back(p);
             }
             self.pages.push(p);
+            self.referenced.push(false);
         }
+    }
+
+    /// Clears `page`'s CLOCK reference bit, returning whether it was set.
+    fn take_referenced(&mut self, page: PageId) -> bool {
+        std::mem::take(&mut self.referenced[page.0 as usize])
+    }
+
+    /// A generator over the store's dataset seeded with `seed`, sharing
+    /// the store's Zipfian (built once, on the first call).
+    fn generator(&mut self, workload: Workload, seed: u64) -> Generator {
+        let cfg = GeneratorConfig {
+            record_count: self.cfg.record_count,
+            value_size: self.cfg.value_size,
+            seed,
+        };
+        let zipf = self
+            .zipf
+            .get_or_insert_with(|| Zipfian::new(cfg.record_count))
+            .clone();
+        Generator::with_zipfian(workload, cfg, zipf)
+    }
+
+    /// The op-stream seed of the closed-loop run at index `run`: the one
+    /// place [`KvStore::run`], [`KvStore::run_trace`] and
+    /// [`KvStore::trace`] derive it.
+    fn run_seed(&self, run: u64) -> u64 {
+        cxl_stats::rng::derive_seed(self.cfg.seed, &format!("run.{run}"))
     }
 
     /// Picks an eviction victim from the resident ring per the policy.
@@ -405,7 +439,7 @@ impl KvStore {
                     if self.tm.location(victim).is_ssd() {
                         continue; // Stale entry.
                     }
-                    if self.referenced.remove(&victim) {
+                    if self.take_referenced(victim) {
                         self.ring.push_back(victim);
                         continue;
                     }
@@ -414,7 +448,7 @@ impl KvStore {
                 // Everything referenced: take the next resident page.
                 while let Some(victim) = self.ring.pop_front() {
                     if !self.tm.location(victim).is_ssd() {
-                        self.referenced.remove(&victim);
+                        self.take_referenced(victim);
                         return Some(victim);
                     }
                 }
@@ -430,7 +464,7 @@ impl KvStore {
                     if self.tm.location(victim).is_ssd() {
                         continue;
                     }
-                    self.referenced.remove(&victim);
+                    self.take_referenced(victim);
                     return Some(victim);
                 }
                 None
@@ -455,7 +489,7 @@ impl KvStore {
                     if let Some((idx, _)) = cxl_stats::argmin_by(candidates, |&(_, f)| f) {
                         self.ring.swap(idx, 0);
                         let victim = self.ring.pop_front()?;
-                        self.referenced.remove(&victim);
+                        self.take_referenced(victim);
                         self.freq.remove(&victim);
                         return Some(victim);
                     }
@@ -477,7 +511,7 @@ impl KvStore {
             match self.tm.load_from_ssd(page, self.now) {
                 Ok(()) => {
                     self.ring.push_back(page);
-                    self.referenced.insert(page);
+                    self.referenced[page.0 as usize] = true;
                     return evictions;
                 }
                 Err(_) => {
@@ -501,7 +535,7 @@ impl KvStore {
     fn access_page(&mut self, idx: usize, rw: Rw, chases: f64, bytes: u64) -> (f64, bool) {
         let page = self.pages[idx];
         let outcome = self.tm.touch(page, rw, bytes, self.now);
-        self.referenced.insert(page);
+        self.referenced[page.0 as usize] = true;
         if self.cfg.eviction == EvictionPolicy::Lfu && self.flash {
             *self.freq.entry(page).or_insert(0) += 1;
             self.ops_since_decay += 1;
@@ -658,12 +692,7 @@ impl KvStore {
         let run_seed =
             cxl_stats::rng::derive_seed(self.cfg.seed, &format!("openloop.{}", self.runs));
         self.runs += 1;
-        let gen_cfg = GeneratorConfig {
-            record_count: self.cfg.record_count,
-            value_size: self.cfg.value_size,
-            seed: run_seed,
-        };
-        let mut generator = Generator::new(workload, gen_cfg);
+        let mut generator = self.generator(workload, run_seed);
         let mut arrival_rng = cxl_stats::rng::stream_rng(run_seed, "arrivals");
         let interarrival = cxl_stats::Exponential::new(rate_ops_per_sec);
         let mut servers = MultiServer::new(self.cfg.server_threads);
@@ -753,14 +782,10 @@ impl KvStore {
             let run_seed =
                 cxl_stats::rng::derive_seed(self.cfg.seed, &format!("serve.{}", self.runs));
             self.runs += 1;
-            let gen_cfg = GeneratorConfig {
-                record_count: self.cfg.record_count,
-                value_size: self.cfg.value_size,
-                seed: run_seed,
-            };
+            let generator = self.generator(workload, run_seed);
             self.serve = Some(ServeSession {
                 workload,
-                generator: Generator::new(workload, gen_cfg),
+                generator,
                 buf: VecDeque::new(),
                 ops: 0,
             });
@@ -793,24 +818,70 @@ impl KvStore {
     /// identical trace, so warm-up runs do not pre-answer the measured
     /// run's exact key sequence.
     pub fn run(&mut self, workload: Workload, ops: u64) -> RunResult {
-        let run_seed = cxl_stats::rng::derive_seed(self.cfg.seed, &format!("run.{}", self.runs));
+        let seed = self.run_seed(self.runs);
         self.runs += 1;
-        let gen_cfg = GeneratorConfig {
-            record_count: self.cfg.record_count,
-            value_size: self.cfg.value_size,
-            seed: run_seed,
-        };
-        let mut generator = Generator::new(workload, gen_cfg);
+        let mut generator = self.generator(workload, seed);
+        let mut buf = VecDeque::new();
+        self.closed_loop(ops, |remaining| {
+            next_buffered_op(&mut generator, &mut buf, remaining)
+        })
+    }
+
+    /// Draws the op stream [`KvStore::run`] would issue `runs_ahead`
+    /// closed-loop runs from now (0 = the next run), as a [`Trace`] for
+    /// [`KvStore::run_trace`].
+    ///
+    /// A trace depends only on the store's seed and dataset size, so one
+    /// trace can be replayed against every store built with the same
+    /// [`KvConfig::seed`] and `record_count` — the paper runs one YCSB
+    /// stream against each configuration.
+    pub fn trace(&mut self, workload: Workload, ops: u64, runs_ahead: u64) -> Trace {
+        let seed = self.run_seed(self.runs + runs_ahead);
+        let ops = usize::try_from(ops).expect("trace length fits in memory");
+        self.generator(workload, seed).trace(ops)
+    }
+
+    /// Replays a trace as one closed-loop run: bit-identical to
+    /// [`KvStore::run`] with the trace's workload and length, including
+    /// the `ycsb/ops/*` counters, without drawing the ops again.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the trace is the stream `run` would draw here: same
+    /// dataset and the seed of the store's current run index (see
+    /// [`KvStore::trace`]).
+    pub fn run_trace(&mut self, trace: &Trace) -> RunResult {
+        let drawn = trace.config();
+        assert!(
+            drawn.record_count == self.cfg.record_count && drawn.value_size == self.cfg.value_size,
+            "trace drawn over a different dataset"
+        );
+        assert_eq!(
+            drawn.seed,
+            self.run_seed(self.runs),
+            "trace drawn for a different run index (this store is at run {})",
+            self.runs
+        );
+        self.runs += 1;
+        let mut ops = trace.replay();
+        self.closed_loop(trace.len() as u64, |_| {
+            ops.next().expect("the trace holds `ops` ops")
+        })
+    }
+
+    /// The closed-loop run body shared by [`KvStore::run`] and
+    /// [`KvStore::run_trace`]: `next_op` yields each op in turn, given
+    /// the number still owed including that one.
+    fn closed_loop(&mut self, ops: u64, mut next_op: impl FnMut(u64) -> Op) -> RunResult {
         let mut servers = MultiServer::new(self.cfg.server_threads);
         let mut clients: Vec<SimTime> = vec![SimTime::ZERO; self.cfg.client_concurrency];
         let mut latency = Histogram::new();
         let mut read_latency = Histogram::new();
         let mut ssd_hits = 0u64;
         let start = self.now;
-        let mut op_buf = VecDeque::new();
 
         for i in 0..ops {
-            let op = next_buffered_op(&mut generator, &mut op_buf, ops - i);
+            let op = next_op(ops - i);
             let client = (i as usize) % clients.len();
             let arrival = clients[client].max(start);
             // Concurrent clients complete out of order, so one client's
@@ -1134,6 +1205,97 @@ mod tests {
         let t_lfu = runs(EvictionPolicy::Lfu);
         // LFU should land in the same class as CLOCK (within 15 %).
         assert!(t_lfu > 0.85 * t_clock, "lfu {t_lfu} vs clock {t_clock}");
+    }
+
+    /// A warm-up plus a measured run of `w`, streamed through `run` on
+    /// one fresh store and replayed from traces on another, each under
+    /// its own registry: results, store state and every sim metric —
+    /// `ycsb/ops/*` included — must match.
+    fn assert_replay_matches_run(make: fn() -> KvStore, w: Workload, ops: u64) {
+        use std::sync::Arc;
+        let streamed_reg = Arc::new(cxl_obs::Registry::new());
+        let mut streamed = make();
+        let want = {
+            let _scope = cxl_obs::scope(streamed_reg.clone());
+            [streamed.run(w, ops), streamed.run(w, ops)]
+        };
+        let replayed_reg = Arc::new(cxl_obs::Registry::new());
+        let mut replayed = make();
+        let traces = [replayed.trace(w, ops, 0), replayed.trace(w, ops, 1)];
+        let got = {
+            let _scope = cxl_obs::scope(replayed_reg.clone());
+            traces.each_ref().map(|t| replayed.run_trace(t))
+        };
+        assert_eq!(got, want, "{}: results diverged", w.label());
+        assert_eq!(replayed.pages, streamed.pages, "{}", w.label());
+        assert_eq!(replayed.residency(), streamed.residency(), "{}", w.label());
+        for kind in ["read", "update", "insert", "scan", "rmw"] {
+            let name = format!("ycsb/ops/{kind}");
+            assert_eq!(
+                replayed_reg.counter(&name),
+                streamed_reg.counter(&name),
+                "{}: {name} diverged",
+                w.label()
+            );
+        }
+        assert_eq!(
+            replayed_reg.export_sim_json(),
+            streamed_reg.export_sim_json(),
+            "{}: sim metrics diverged",
+            w.label()
+        );
+    }
+
+    #[test]
+    fn trace_replay_matches_run_on_mmem() {
+        for w in Workload::extended() {
+            assert_replay_matches_run(mmem_store, w, 6_000);
+        }
+    }
+
+    #[test]
+    fn trace_replay_matches_run_on_flash() {
+        for w in Workload::extended() {
+            assert_replay_matches_run(|| ssd_store(0.6), w, 6_000);
+        }
+        // Workload D's inserts grow the spilled dataset page by page.
+        let mut s = ssd_store(0.6);
+        let before = s.pages.len();
+        let trace = s.trace(Workload::D, 6_000, 0);
+        let r = s.run_trace(&trace);
+        assert!(s.pages.len() > before, "D inserts grew no pages");
+        assert!(r.ssd_hits > 0, "flash store never hit SSD");
+    }
+
+    #[test]
+    fn trace_replay_matches_run_on_hot_promote() {
+        for w in Workload::extended() {
+            assert_replay_matches_run(hot_promote_store, w, 6_000);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace drawn for a different run index")]
+    fn run_trace_rejects_a_trace_for_another_run() {
+        let mut s = mmem_store();
+        let measured = s.trace(Workload::A, 100, 1);
+        s.run_trace(&measured);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace drawn over a different dataset")]
+    fn run_trace_rejects_a_trace_over_another_dataset() {
+        let mut small = KvStore::new(
+            &topo(),
+            TierConfig::bind(vec![DRAM0]),
+            KvConfig {
+                record_count: 1_000,
+                ..kv_cfg()
+            },
+            false,
+        );
+        let trace = small.trace(Workload::A, 100, 0);
+        mmem_store().run_trace(&trace);
     }
 
     #[test]

@@ -228,9 +228,14 @@ pub struct ScrambledZipfian {
 impl ScrambledZipfian {
     /// Creates a scrambled Zipfian chooser over `items` keys.
     pub fn new(items: u64) -> Self {
-        Self {
-            inner: Zipfian::new(items),
-        }
+        Self::from_zipfian(Zipfian::new(items))
+    }
+
+    /// Scrambles a pre-built Zipfian: draws are bit-identical to
+    /// [`ScrambledZipfian::new`] over the same item count and skew,
+    /// without summing the zeta normalization again.
+    pub fn from_zipfian(inner: Zipfian) -> Self {
+        Self { inner }
     }
 }
 
@@ -257,9 +262,15 @@ pub struct Latest {
 impl Latest {
     /// Creates a latest-skewed chooser; `initial_keys` must be positive.
     pub fn new(initial_keys: u64) -> Self {
+        Self::from_zipfian(Zipfian::new(initial_keys))
+    }
+
+    /// A latest-skewed chooser over the pre-built `zipf`'s item count,
+    /// bit-identical to [`Latest::new`] over the same count and skew.
+    pub fn from_zipfian(zipf: Zipfian) -> Self {
         Self {
-            zipf: Zipfian::new(initial_keys),
-            last_key: initial_keys - 1,
+            last_key: zipf.items - 1,
+            zipf,
         }
     }
 
@@ -381,6 +392,25 @@ mod tests {
         let mut r = rng();
         for _ in 0..1000 {
             assert!(l.next_key(&mut r) <= 10);
+        }
+    }
+
+    #[test]
+    fn choosers_built_from_a_shared_zipfian_draw_identically() {
+        let zipf = Zipfian::new(5_000);
+        let (mut a, mut b) = (rng(), rng());
+        let mut fresh = ScrambledZipfian::new(5_000);
+        let mut shared = ScrambledZipfian::from_zipfian(zipf.clone());
+        for _ in 0..1000 {
+            assert_eq!(fresh.next_key(&mut a), shared.next_key(&mut b));
+        }
+        let mut fresh = Latest::new(5_000);
+        let mut shared = Latest::from_zipfian(zipf);
+        for i in 0..1000 {
+            if i % 10 == 0 {
+                assert_eq!(fresh.advance(), shared.advance());
+            }
+            assert_eq!(fresh.next_key(&mut a), shared.next_key(&mut b));
         }
     }
 

@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use cxl_stats::dist::{KeyChooser, Latest, ScrambledZipfian};
+use cxl_stats::dist::{KeyChooser, Latest, ScrambledZipfian, Zipfian};
 use cxl_stats::rng::stream_rng;
 
 /// The YCSB core workloads. The paper's experiments use A–D; E and F
@@ -168,6 +168,17 @@ fn op_kind(op: &Op) -> usize {
     }
 }
 
+/// Adds a per-kind tally (indexed by [`op_kind`]) to the op counters.
+/// Zero counts are skipped, so a kind that never occurs never appears
+/// in an export.
+fn flush_tally(tally: &[u64; 5]) {
+    for (counter, &count) in OPS.iter().zip(tally) {
+        if count > 0 {
+            counter.add(count);
+        }
+    }
+}
+
 impl Generator {
     /// Creates a generator for a workload.
     ///
@@ -176,10 +187,31 @@ impl Generator {
     /// Panics if `record_count == 0`.
     pub fn new(workload: Workload, cfg: GeneratorConfig) -> Self {
         assert!(cfg.record_count > 0, "record count must be positive");
+        Self::with_zipfian(workload, cfg, Zipfian::new(cfg.record_count))
+    }
+
+    /// Creates a generator whose key chooser is built on a pre-built
+    /// Zipfian over `cfg.record_count` items.
+    ///
+    /// The op stream is bit-identical to [`Generator::new`]'s when
+    /// `zipf` is `Zipfian::new(cfg.record_count)` (or a clone of one);
+    /// callers that open many generators over one dataset clone a single
+    /// Zipfian instead of summing its zeta normalization per generator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zipf` does not draw from exactly `cfg.record_count`
+    /// items.
+    pub fn with_zipfian(workload: Workload, cfg: GeneratorConfig, zipf: Zipfian) -> Self {
+        assert_eq!(
+            zipf.item_count(),
+            cfg.record_count,
+            "zipfian item count must equal the record count"
+        );
         let chooser = if workload == Workload::D {
-            Chooser::Latest(Latest::new(cfg.record_count))
+            Chooser::Latest(Latest::from_zipfian(zipf))
         } else {
-            Chooser::Zipf(ScrambledZipfian::new(cfg.record_count))
+            Chooser::Zipf(ScrambledZipfian::from_zipfian(zipf))
         };
         Self {
             workload,
@@ -253,8 +285,7 @@ impl Generator {
     /// off the same RNG stream in the same order and the per-type obs
     /// counters reach the same totals — but the counters are tallied
     /// locally and flushed once per type per batch instead of once per
-    /// op, which removes the dominant constant from the op-generation
-    /// hot path (the fig5 KV slice is the slowest bench in the suite).
+    /// op, so a streaming run loop pays one counter add per block.
     pub fn batch(&mut self, n: usize) -> Vec<Op> {
         let mut tally = [0u64; 5];
         let ops: Vec<Op> = (0..n)
@@ -264,12 +295,147 @@ impl Generator {
                 op
             })
             .collect();
-        for (counter, &count) in OPS.iter().zip(&tally) {
-            if count > 0 {
-                counter.add(count);
-            }
-        }
+        flush_tally(&tally);
         ops
+    }
+
+    /// Draws the next `n` operations into a replayable [`Trace`].
+    ///
+    /// Drawing records nothing: the `ycsb/ops/*` counters count ops
+    /// issued, so the trace keeps its own per-kind tally and each
+    /// [`Trace::replay`] flushes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys the draw can reach need more than
+    /// [`Trace::MAX_KEY_BITS`] bits.
+    pub fn trace(&mut self, n: usize) -> Trace {
+        // Inserts are the only ops past the current key space, at most
+        // one new key per op.
+        let reach = if self.workload.writes_insert() {
+            n as u64
+        } else {
+            0
+        };
+        let max_key = self.next_insert_key - 1 + reach;
+        let mut trace = Trace::empty(self.cfg, max_key, n);
+        for _ in 0..n {
+            let op = self.draw_op();
+            trace.push(op);
+        }
+        trace
+    }
+}
+
+/// A drawn YCSB op stream, packed for replay against many stores.
+///
+/// The paper runs one YCSB stream against every Table 1 configuration;
+/// a trace lets that stream be drawn once and replayed per
+/// configuration. Ops are packed at a fixed width of 3 kind bits plus
+/// just enough key bits for the largest key the draw could reach, and
+/// each scan adds one byte for its length: a 200k-op trace over 200k
+/// records takes 21 bits (2.6 bytes) per op.
+#[derive(Debug, Clone)]
+pub struct Trace {
+    cfg: GeneratorConfig,
+    key_bits: u32,
+    len: usize,
+    /// `len` codes of `3 + key_bits` bits, little-endian, followed by
+    /// at least 8 zero bytes so every code is one unaligned `u64` read.
+    bits: Vec<u8>,
+    scan_lens: Vec<u8>,
+    tally: [u64; 5],
+}
+
+impl Trace {
+    /// The widest key a trace packs: a code (3 kind bits plus the key)
+    /// must fit in one 8-byte read at any bit offset within a byte.
+    pub const MAX_KEY_BITS: u32 = 54;
+
+    /// An empty trace that can hold keys up to `max_key`, sized for
+    /// `capacity` ops.
+    fn empty(cfg: GeneratorConfig, max_key: u64, capacity: usize) -> Self {
+        let key_bits = (u64::BITS - max_key.leading_zeros()).max(1);
+        assert!(
+            key_bits <= Self::MAX_KEY_BITS,
+            "keys up to {max_key} exceed the trace packing limit of {} bits",
+            Self::MAX_KEY_BITS
+        );
+        let code_bits = 3 + key_bits as usize;
+        Self {
+            cfg,
+            key_bits,
+            len: 0,
+            bits: vec![0; (capacity * code_bits).div_ceil(8) + 8],
+            scan_lens: Vec::new(),
+            tally: [0; 5],
+        }
+    }
+
+    fn push(&mut self, op: Op) {
+        let key = op.key();
+        assert!(
+            key >> self.key_bits == 0,
+            "key {key} exceeds the trace packing limit of {} bits",
+            self.key_bits
+        );
+        let kind = op_kind(&op);
+        if let Op::Scan { len, .. } = op {
+            self.scan_lens
+                .push(u8::try_from(len).expect("scan lengths stay within 1..=100"));
+        }
+        self.tally[kind] += 1;
+        let bit = self.len * (3 + self.key_bits as usize);
+        let at = bit / 8;
+        if self.bits.len() < at + 8 {
+            self.bits.resize(at + 8, 0);
+        }
+        let word: &mut [u8; 8] = (&mut self.bits[at..at + 8]).try_into().expect("8 bytes");
+        let code = (key << 3 | kind as u64) << (bit % 8);
+        *word = (u64::from_le_bytes(*word) | code).to_le_bytes();
+        self.len += 1;
+    }
+
+    /// The configuration (and seed) of the generator that drew it.
+    pub fn config(&self) -> &GeneratorConfig {
+        &self.cfg
+    }
+
+    /// Number of ops in the trace.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a trace of no ops.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Issues the trace: adds its per-kind tally to the `ycsb/ops/*`
+    /// counters, as streaming the same ops through
+    /// [`Generator::batch`] would, and returns the ops in draw order.
+    pub fn replay(&self) -> impl Iterator<Item = Op> + '_ {
+        flush_tally(&self.tally);
+        let code_bits = 3 + self.key_bits as usize;
+        let mask = (1u64 << code_bits) - 1;
+        let mut scan_lens = self.scan_lens.iter();
+        (0..self.len).map(move |i| {
+            let bit = i * code_bits;
+            let at = bit / 8;
+            let word: [u8; 8] = self.bits[at..at + 8].try_into().expect("8 bytes");
+            let code = (u64::from_le_bytes(word) >> (bit % 8)) & mask;
+            let key = code >> 3;
+            match code & 0b111 {
+                0 => Op::Read(key),
+                1 => Op::Update(key),
+                2 => Op::Insert(key),
+                3 => Op::Scan {
+                    start: key,
+                    len: u32::from(*scan_lens.next().expect("one length per scan")),
+                },
+                _ => Op::ReadModifyWrite(key),
+            }
+        })
     }
 }
 
@@ -328,6 +494,136 @@ mod tests {
                 );
             }
         }
+    }
+
+    const OP_COUNTERS: [&str; 5] = [
+        "ycsb/ops/read",
+        "ycsb/ops/update",
+        "ycsb/ops/insert",
+        "ycsb/ops/scan",
+        "ycsb/ops/rmw",
+    ];
+
+    #[test]
+    fn trace_replays_the_streamed_ops_and_counts_each_replay() {
+        use std::sync::Arc;
+        for w in Workload::extended() {
+            let streamed_reg = Arc::new(cxl_obs::Registry::new());
+            let streamed = {
+                let _scope = cxl_obs::scope(streamed_reg.clone());
+                gen(w).batch(3000)
+            };
+            let traced_reg = Arc::new(cxl_obs::Registry::new());
+            let trace = {
+                let _scope = cxl_obs::scope(traced_reg.clone());
+                gen(w).trace(3000)
+            };
+            // Drawing a trace issues nothing.
+            for name in OP_COUNTERS {
+                assert_eq!(traced_reg.counter(name), None, "{}: {name}", w.label());
+            }
+            assert_eq!(trace.len(), 3000);
+            assert_eq!(trace.config().seed, 7);
+            {
+                let _scope = cxl_obs::scope(traced_reg.clone());
+                assert_eq!(
+                    trace.replay().collect::<Vec<_>>(),
+                    streamed,
+                    "{}",
+                    w.label()
+                );
+            }
+            for name in OP_COUNTERS {
+                assert_eq!(
+                    traced_reg.counter(name),
+                    streamed_reg.counter(name),
+                    "{}: counter {name} diverged",
+                    w.label()
+                );
+            }
+            // A second replay issues the ops again.
+            {
+                let _scope = cxl_obs::scope(traced_reg.clone());
+                assert_eq!(trace.replay().count(), 3000);
+            }
+            let read = |r: &cxl_obs::Registry| r.counter("ycsb/ops/read").unwrap_or(0);
+            assert_eq!(read(&traced_reg), 2 * read(&streamed_reg));
+        }
+    }
+
+    #[test]
+    fn shared_zipfian_generator_matches_fresh_one() {
+        let cfg = gen(Workload::A).cfg;
+        let zipf = cxl_stats::Zipfian::new(cfg.record_count);
+        for w in Workload::extended() {
+            let mut shared = Generator::with_zipfian(w, cfg, zipf.clone());
+            assert_eq!(shared.batch(2000), gen(w).batch(2000), "{}", w.label());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zipfian item count must equal the record count")]
+    fn shared_zipfian_must_cover_the_records() {
+        let cfg = gen(Workload::A).cfg;
+        Generator::with_zipfian(Workload::A, cfg, cxl_stats::Zipfian::new(10));
+    }
+
+    #[test]
+    fn trace_packs_keys_up_to_its_limit() {
+        let cfg = gen(Workload::E).cfg;
+        // 1000 needs 10 key bits, so 1023 is the largest key that fits.
+        let mut t = Trace::empty(cfg, 1000, 1);
+        let ops = [
+            Op::Insert(1023),
+            Op::Scan { start: 0, len: 100 },
+            Op::ReadModifyWrite(1),
+            Op::Scan {
+                start: 1022,
+                len: 1,
+            },
+        ];
+        for op in ops {
+            t.push(op);
+        }
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.replay().collect::<Vec<_>>(), ops);
+        // The widest packing still round-trips at every bit offset.
+        let max = (1u64 << Trace::MAX_KEY_BITS) - 1;
+        let mut wide = Trace::empty(cfg, max, 0);
+        let ops: Vec<Op> = (0..9).map(|i| Op::Update(max - i)).collect();
+        for &op in &ops {
+            wide.push(op);
+        }
+        assert_eq!(wide.replay().collect::<Vec<_>>(), ops);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the trace packing limit of 10 bits")]
+    fn trace_rejects_keys_beyond_its_packing_limit() {
+        let mut t = Trace::empty(gen(Workload::D).cfg, 1000, 1);
+        t.push(Op::Insert(1024));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the trace packing limit of 54 bits")]
+    fn trace_rejects_key_spaces_wider_than_its_codes() {
+        Trace::empty(gen(Workload::A).cfg, 1 << 54, 1);
+    }
+
+    #[test]
+    fn trace_width_covers_inserted_keys() {
+        // D's inserts run past the initial key space; the trace is sized
+        // for one new key per op, so drawing never trips the limit.
+        let mut g = Generator::new(
+            Workload::D,
+            GeneratorConfig {
+                record_count: 16,
+                value_size: 1024,
+                seed: 3,
+            },
+        );
+        let t = g.trace(2000);
+        assert!(t.replay().any(|op| op.key() >= 32));
     }
 
     #[test]

@@ -15,8 +15,9 @@ overwrite), and derives the headline ratios:
   production incremental/cached path on the identical knob-probe loop,
 * `ycsb_gen_speedup` — per-op YCSB generation over block generation
   with a live obs registry (the fig5-slice amortization),
-* `tier_touch_speedup` — per-op tier-manager touch over `touch_batch`
-  on the identical access pattern,
+* `tier_touch_ns_per_op` — one tier-manager touch under hot-page
+  selection (the `tier_touch_per_op` slice makes 100k touches per
+  iteration),
 * `obs_ns_per_record` — one `cxl-obs` handle record into a live scope
   (the `obs_record` slice makes 1M records per iteration).
 """
@@ -55,8 +56,9 @@ def main(src: str, dst: str) -> int:
                 "speed/solver_probes_reference", "speed/solver_probes_incremental"
             ),
             "ycsb_gen_speedup": ratio("speed/ycsb_gen_per_op", "speed/ycsb_gen_batched"),
-            "tier_touch_speedup": ratio(
-                "speed/tier_touch_per_op", "speed/tier_touch_batched"
+            "tier_touch_ns_per_op": (
+                round(mean("speed/tier_touch_per_op") / 1e5, 2)
+                if mean("speed/tier_touch_per_op") else None
             ),
             "obs_ns_per_record": (
                 round(mean("speed/obs_record") / 1e6, 2) if mean("speed/obs_record") else None
