@@ -3,9 +3,8 @@
 //! Three slices, exported per-PR into `BENCH_*.json` (see
 //! EXPERIMENTS.md "Benchmarking"): engine churn with heavy
 //! cancellation on both the arena engine and the pre-arena legacy copy
-//! (their ratio is the headline speedup), the solver knob-probe loop on
-//! the incremental and monolithic paths, and a reduced Fig. 5 KV cell
-//! as the end-to-end macro slice.
+//! (their ratio is the headline speedup), the solver knob-probe loop,
+//! and a reduced Fig. 5 KV cell as the end-to-end macro slice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -28,12 +27,10 @@ fn bench_speed(c: &mut Criterion) {
         b.iter(|| black_box(speed::churn_legacy(4, 50_000)))
     });
 
-    // Solver knob probes: 64 single-flow perturbations per iteration.
-    g.bench_function("solver_probes_incremental", |b| {
-        b.iter(|| black_box(speed::solver_probe_slice(64, true)))
-    });
-    g.bench_function("solver_probes_reference", |b| {
-        b.iter(|| black_box(speed::solver_probe_slice(64, false)))
+    // Solver knob probes: 64 single-flow perturbations per iteration
+    // (mean_ns / 64 is ns per solve).
+    g.bench_function("solver_probes", |b| {
+        b.iter(|| black_box(speed::solver_probe_slice(64)))
     });
 
     // YCSB op generation with a live obs registry: block-drawn vs
@@ -79,7 +76,7 @@ fn bench_speed(c: &mut Criterion) {
     // Calibration macro slice: a three-round coordinate-descent fit of
     // the smallest registry target (4 free dims, 20 points) — the
     // `cxl-calib` share of the trajectory, dominated by analytic
-    // solves with a distinct cache fingerprint per candidate.
+    // solves against one freshly built system per candidate.
     g.bench_function("calib_fit_slice", |b| {
         b.iter(|| black_box(speed::calib_fit_slice(3)))
     });

@@ -10,10 +10,8 @@
 //! a single uninterpretable number.
 //!
 //! The solver-probe workload models `cxl-ctl` autotuning: one knob
-//! moves per step, so one flow of a component-disjoint set is dirtied
-//! per solve. Run `incremental: true` (the production `solve` path)
-//! against `incremental: false` (the monolithic uncached reference) for
-//! the re-solve gain.
+//! moves per step, so one flow of a 24-flow set changes per solve. The
+//! trajectory reports it as an absolute time per solve.
 
 use cxl_perf::{AccessMix, FlowSpec, MemSystem};
 use cxl_topology::{NodeId, SncMode, SocketId, Topology};
@@ -212,29 +210,15 @@ pub fn probe_system() -> (MemSystem, Vec<FlowSpec>) {
 
 /// Runs `probes` single-knob perturbation solves and returns a
 /// value-bearing accumulator (so the work can't be optimized away).
-///
 /// The knob values are quantized to a small grid, the way `cxl-ctl`
-/// probes quantized settings, and the process-wide caches persist
-/// across calls the way they persist across an experiment — so the
-/// loop exercises the production mix: full-key memo hits on revisited
-/// operating points, component replays plus one dirty re-converge on
-/// new ones. `incremental: true` uses the production `solve` path;
-/// `false` re-solves monolithically from scratch each time via
-/// `solve_reference`. Both paths are bit-identical in output —
-/// `crates/cxl-perf/tests/incremental_solve.rs` pins that — so the
-/// ratio is pure speed.
-pub fn solver_probe_slice(probes: usize, incremental: bool) -> f64 {
+/// probes quantized settings.
+pub fn solver_probe_slice(probes: usize) -> f64 {
     let (sys, mut flows) = probe_system();
     let mut acc = 0.0;
     for p in 0..probes {
         let k = p % flows.len();
         flows[k].offered_gbps = 10.0 + ((p * 13) % 40) as f64 * 0.25;
-        let result = if incremental {
-            sys.solve(&flows)
-        } else {
-            sys.solve_reference(&flows).expect("reference solve")
-        };
-        acc += result.flows[k].achieved_gbps;
+        acc += sys.solve(&flows).flows[k].achieved_gbps;
     }
     acc
 }

@@ -19,14 +19,9 @@ fn churn_workload_agrees_across_engines() {
 }
 
 #[test]
-fn solver_probe_paths_agree() {
-    let incremental = speed::solver_probe_slice(6, true);
-    let reference = speed::solver_probe_slice(6, false);
-    assert_eq!(
-        incremental.to_bits(),
-        reference.to_bits(),
-        "incremental and reference probe loops must be bit-identical"
-    );
+fn solver_probe_slice_is_finite() {
+    let acc = speed::solver_probe_slice(6);
+    assert!(acc.is_finite() && acc > 0.0, "probe accumulator: {acc}");
 }
 
 #[test]

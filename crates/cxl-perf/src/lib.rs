@@ -15,7 +15,8 @@
 //! A max-min water-filling solver computes the achieved bandwidth of
 //! concurrently contending flows, and per-resource queueing-delay curves
 //! (flat until a knee at 60–83 % utilization, then super-linear — §3.2)
-//! produce the loaded latency.
+//! produce the loaded latency. Every solve is a pure function of the
+//! system and its flows: the crate keeps no solver state between calls.
 //!
 //! Calibration targets (all from §3.2–§3.4 of the paper) are encoded in
 //! [`calib`] and asserted by this crate's tests:

@@ -20,7 +20,7 @@
 //! path at its final utilization.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -31,17 +31,11 @@ use crate::mix::AccessMix;
 use crate::params::ModelParams;
 use crate::tuning::PerfTuning;
 
-/// Wall class throughout: which solves hit the shared cache (and so how
-/// many run the solver) depends on worker scheduling.
+/// Wall class: solver effort is a host-cost diagnostic, not a
+/// simulated outcome.
 mod obs {
     use cxl_obs::Counter;
 
-    pub static SOLVE_CACHE_HITS: Counter = Counter::wall("perf/solve_cache_hits");
-    pub static SOLVE_CACHE_MISSES: Counter = Counter::wall("perf/solve_cache_misses");
-    pub static SOLVE_CACHE_POISON_RECOVERIES: Counter =
-        Counter::wall("perf/solve_cache_poison_recoveries");
-    pub static SOLVE_COMPONENT_HITS: Counter = Counter::wall("perf/solve_component_hits");
-    pub static SOLVE_COMPONENT_MISSES: Counter = Counter::wall("perf/solve_component_misses");
     pub static SOLVER_ITERATIONS: Counter = Counter::wall("perf/solver_iterations");
 }
 
@@ -234,102 +228,23 @@ impl std::fmt::Display for PerfError {
 
 impl std::error::Error for PerfError {}
 
-/// Hit/miss counters of the process-wide solve cache (see
-/// [`solve_cache_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct SolveCacheStats {
-    /// Solves answered from the cache.
-    pub hits: u64,
-    /// Solves computed by the water-filling solver.
-    pub misses: u64,
-    /// Resource-disjoint components answered from the cache during
-    /// incremental re-solves of full-key misses.
-    pub component_hits: u64,
-    /// Resource-disjoint components the water-filling solver actually
-    /// re-converged during full-key misses.
-    pub component_misses: u64,
-}
-
-impl SolveCacheStats {
-    /// Fraction of solves answered whole from the cache (0.0 when none
-    /// ran).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of components reused during full-key misses (0.0 when
-    /// no multi-component solve missed).
-    pub fn component_hit_rate(&self) -> f64 {
-        let total = self.component_hits + self.component_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.component_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Exact cache identity of one flow.
+/// Solve counter kept for host-side tooling (see [`solve_cache_stats`]).
 ///
-/// The f64 fields are keyed by their canonicalized bit patterns rather
-/// than a coarser rounding: collapsing nearly-equal inputs onto one
-/// entry would make a solve's result depend on which variant was
-/// computed first, breaking the bit-identical parallel/serial guarantee
-/// the experiment runner relies on. Canonicalization only merges
-/// `-0.0` with `+0.0`, which the solver cannot distinguish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct FlowKey {
-    from: usize,
-    node: usize,
-    read_fraction: u64,
-    nt_writes: bool,
-    random_pattern: bool,
-    offered: u64,
+/// The solver keeps no memo, so nothing is ever answered from a cache:
+/// `hits` is always 0 and `misses` counts successful solves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SolveCacheStats {
+    /// Always 0: the solver is stateless.
+    pub hits: u64,
+    /// Successful [`MemSystem::try_solve`] calls since the last
+    /// [`solve_cache_reset`].
+    pub misses: u64,
 }
 
-fn canon_bits(x: f64) -> u64 {
-    if x == 0.0 {
-        0
-    } else {
-        x.to_bits()
-    }
-}
-
-impl FlowKey {
-    fn of(f: &FlowSpec) -> FlowKey {
-        FlowKey {
-            from: f.from.0,
-            node: f.node.0,
-            read_fraction: canon_bits(f.mix.read_fraction),
-            nt_writes: f.mix.nt_writes,
-            random_pattern: f.mix.pattern == crate::mix::Pattern::Random,
-            offered: canon_bits(f.offered_gbps),
-        }
-    }
-}
-
-/// Cache key: which model solved which ordered flow set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SolveKey {
-    fingerprint: u64,
-    flows: Vec<FlowKey>,
-}
-
-/// Entry bound: past this the cache stops inserting (sweeps that large
-/// repeat little; dropping inserts is cheaper than eviction and keeps
-/// lookups deterministic).
-const SOLVE_CACHE_CAP: usize = 1 << 16;
-
-/// Multiply-rotate hasher (the rustc-hash construction) for the memo
-/// caches. Keys are many-field structs — SipHash's per-write overhead
-/// dominated solve misses — and the caches are internal (fixed key
-/// shapes, no untrusted input), so hash-flooding resistance buys
-/// nothing here.
+/// Multiply-rotate hasher (the rustc-hash construction) for the
+/// resource-index maps that path construction looks up on every solve.
+/// The keys are small internal ids (no untrusted input), so SipHash's
+/// hash-flooding resistance buys nothing here.
 #[derive(Default)]
 struct FxHasher {
     hash: u64,
@@ -346,153 +261,43 @@ impl std::hash::Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
         // The multiply concentrates entropy in the high bits while the
-        // table indexes by the low ones; fold them back down so
-        // near-identical keys (probe sweeps differ in one f64) don't
-        // cluster into long probe chains.
+        // table indexes by the low ones; fold them back down.
         let h = self.hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^ (h >> 32)
     }
 
-    #[inline]
+    // The keys hash as `usize` ids and enum discriminants, which reach
+    // `write_usize`; bytes only arrive through the fallback.
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        for &b in bytes {
+            self.add(u64::from(b));
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
     }
 
     #[inline]
     fn write_usize(&mut self, n: usize) {
         self.add(n as u64);
     }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
 }
 
-type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
-type MemoMap<K, V> = HashMap<K, V, FxBuild>;
+type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
-static SOLVE_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SOLVE_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static COMPONENT_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static COMPONENT_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Successful solves, process-wide. The only state this crate keeps;
+/// nothing reads it back into a result.
+static SOLVES: AtomicU64 = AtomicU64::new(0);
 
-fn solve_cache() -> &'static std::sync::Mutex<MemoMap<SolveKey, Arc<SolveResult>>> {
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<MemoMap<SolveKey, Arc<SolveResult>>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(MemoMap::default()))
-}
-
-/// Key of the path-set memo: the flow keys with offered rates dropped —
-/// a flow's route and coefficients depend only on its endpoints and
-/// mix, so knob probes that perturb offered rates replay their paths.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PathSetKey {
-    fingerprint: u64,
-    flows: Vec<(usize, usize, u64, bool, bool)>,
-}
-
-impl PathSetKey {
-    fn of(fingerprint: u64, keys: &[FlowKey]) -> Self {
-        PathSetKey {
-            fingerprint,
-            flows: keys
-                .iter()
-                .map(|k| {
-                    (
-                        k.from,
-                        k.node,
-                        k.read_fraction,
-                        k.nt_writes,
-                        k.random_pattern,
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Process-wide memo of constructed path sets. Only successful
-/// constructions are stored; offline-node errors are recomputed (they
-/// fail before any segment work). Uses the same clear-and-continue
-/// poison policy as the solve cache, without its own counter — the two
-/// locks are only held across pure construction.
-fn path_cache() -> &'static std::sync::Mutex<MemoMap<PathSetKey, Arc<Vec<Path>>>> {
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<MemoMap<PathSetKey, Arc<Vec<Path>>>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(MemoMap::default()))
-}
-
-fn lock_path_cache() -> std::sync::MutexGuard<'static, MemoMap<PathSetKey, Arc<Vec<Path>>>> {
-    let cache = path_cache();
-    match cache.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            cache.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.clear();
-            guard
-        }
-    }
-}
-
-/// Locks the solve cache, recovering from poisoning.
-///
-/// A panic in one experiment cell while it holds this lock must not
-/// cascade `PoisonError` panics into every unrelated cell the parallel
-/// runner is driving. The cache is a pure memo — dropping its entries
-/// is always safe — so recovery clears the poison bit plus the stored
-/// entries and keeps serving. Occurrences are counted as the wall-class
-/// metric `perf/solve_cache_poison_recoveries` (wall because whether a
-/// panic lands while the lock is held depends on scheduling).
-fn lock_solve_cache() -> std::sync::MutexGuard<'static, MemoMap<SolveKey, Arc<SolveResult>>> {
-    let cache = solve_cache();
-    match cache.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            cache.clear_poison();
-            obs::SOLVE_CACHE_POISON_RECOVERIES.add(1);
-            let mut guard = poisoned.into_inner();
-            guard.clear();
-            guard
-        }
-    }
-}
-
-/// Snapshot of the process-wide [`MemSystem::solve`] cache counters.
+/// Number of successful solves since the last [`solve_cache_reset`],
+/// reported as `misses` (`hits` is always 0).
 pub fn solve_cache_stats() -> SolveCacheStats {
     SolveCacheStats {
-        hits: SOLVE_HITS.load(std::sync::atomic::Ordering::Relaxed),
-        misses: SOLVE_MISSES.load(std::sync::atomic::Ordering::Relaxed),
-        component_hits: COMPONENT_HITS.load(std::sync::atomic::Ordering::Relaxed),
-        component_misses: COMPONENT_MISSES.load(std::sync::atomic::Ordering::Relaxed),
+        hits: 0,
+        misses: SOLVES.load(Ordering::Relaxed),
     }
 }
 
-/// Clears the solve and path caches and zeroes the counters (for
-/// measurements and tests that need a cold start).
+/// Zeroes the solve counter of [`solve_cache_stats`].
 pub fn solve_cache_reset() {
-    lock_path_cache().clear();
-    let mut cache = lock_solve_cache();
-    cache.clear();
-    SOLVE_HITS.store(0, std::sync::atomic::Ordering::Relaxed);
-    SOLVE_MISSES.store(0, std::sync::atomic::Ordering::Relaxed);
-    COMPONENT_HITS.store(0, std::sync::atomic::Ordering::Relaxed);
-    COMPONENT_MISSES.store(0, std::sync::atomic::Ordering::Relaxed);
+    SOLVES.store(0, Ordering::Relaxed);
 }
 
 /// A segment of a flow's path: a resource plus the bytes it carries per
@@ -516,18 +321,14 @@ struct Path {
 pub struct MemSystem {
     nodes: Vec<NumaNode>,
     resources: Vec<Resource>,
-    index: MemoMap<ResourceKind, usize>,
+    index: FxMap<ResourceKind, usize>,
     /// Extra idle latency of a remote CXL access beyond the local one.
     cxl_remote_extra_ns: f64,
     /// Per-CXL-node device parameters (controller latency, efficiencies).
-    cxl_params: MemoMap<NodeId, CxlNodeParams>,
+    cxl_params: FxMap<NodeId, CxlNodeParams>,
     sockets: Vec<SocketId>,
     /// The model parameters the resource graph was built from.
     params: ModelParams,
-    /// Structural fingerprint keying the process-wide solve cache:
-    /// systems built from identical topologies and tunings share cache
-    /// entries, distinct models never collide.
-    fingerprint: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -589,8 +390,8 @@ impl MemSystem {
         );
         let nodes = topo.nodes();
         let mut resources = Vec::new();
-        let mut index = MemoMap::default();
-        let mut cxl_params = MemoMap::default();
+        let mut index = FxMap::default();
+        let mut cxl_params = FxMap::default();
 
         let mut add = |kind: ResourceKind, cap: f64, queue: QueueModel| {
             let id = resources.len();
@@ -674,30 +475,6 @@ impl MemSystem {
         }
 
         let cxl_remote_extra_ns = p.cxl_remote_extra_ns;
-        let fingerprint = {
-            use std::hash::{Hash, Hasher};
-            // Debug formatting gives every f64 its shortest exact
-            // representation, so two models hash alike only when every
-            // capacity, queue parameter, and latency agrees exactly.
-            // The one unordered container is hashed in sorted order.
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            format!("{nodes:?}").hash(&mut h);
-            format!("{resources:?}").hash(&mut h);
-            cxl_remote_extra_ns.to_bits().hash(&mut h);
-            let mut params: Vec<(usize, String)> = cxl_params
-                .iter()
-                .map(|(id, p)| (id.0, format!("{p:?}")))
-                .collect();
-            params.sort();
-            format!("{params:?}").hash(&mut h);
-            format!("{sockets:?}").hash(&mut h);
-            // The fitter builds one system per candidate parameter
-            // vector; parameters that shape latency but no resource
-            // (idle latencies, coherence overheads) must still keep
-            // those candidates' cache entries apart.
-            format!("{p:?}").hash(&mut h);
-            h.finish()
-        };
         Self {
             nodes,
             resources,
@@ -706,7 +483,6 @@ impl MemSystem {
             cxl_params,
             sockets,
             params: p,
-            fingerprint,
         }
     }
 
@@ -915,12 +691,9 @@ impl MemSystem {
 
     /// Solves a set of concurrent flows with max-min water-filling.
     ///
-    /// Results are memoized in a process-wide cache keyed on the
-    /// system's structural fingerprint and the exact flow set, so
-    /// repeated operating points across sweeps (e.g. the shared cells
-    /// of the Fig. 3 and Fig. 4 panels) solve once. A cached result is
-    /// the value the solver produced for that exact key, so caching is
-    /// invisible to output — including under parallel execution.
+    /// The solve is a pure function of the system and the flow set: no
+    /// state survives between calls, so results cannot depend on what
+    /// was solved before or on another thread.
     ///
     /// # Panics
     ///
@@ -932,162 +705,23 @@ impl MemSystem {
 
     /// Fallible twin of [`MemSystem::solve`]: a flow addressed to an
     /// offline expander (or an unknown node) comes back as a
-    /// [`PerfError`] instead of a panic. Successful results share the
-    /// same process-wide memo cache; errors are recomputed (they are
-    /// cheap — path construction fails before any water-filling runs).
+    /// [`PerfError`] instead of a panic.
     pub fn try_solve(&self, flows: &[FlowSpec]) -> Result<SolveResult, PerfError> {
-        use std::sync::atomic::Ordering;
-        let key = SolveKey {
-            fingerprint: self.fingerprint,
-            flows: flows.iter().map(FlowKey::of).collect(),
-        };
-        if let Some(hit) = lock_solve_cache().get(&key) {
-            SOLVE_HITS.fetch_add(1, Ordering::Relaxed);
-            // Wall class: two workers racing on the same cold key can
-            // both miss, so the hit/miss split is schedule-dependent.
-            obs::SOLVE_CACHE_HITS.add(1);
-            return Ok(SolveResult::clone(hit));
-        }
-        let result = Arc::new(self.solve_incremental(flows, &key.flows)?);
-        SOLVE_MISSES.fetch_add(1, Ordering::Relaxed);
-        obs::SOLVE_CACHE_MISSES.add(1);
-        let mut cache = lock_solve_cache();
-        if cache.len() < SOLVE_CACHE_CAP {
-            cache.insert(key, result.clone());
-        }
-        drop(cache);
-        Ok(Arc::try_unwrap(result).unwrap_or_else(|a| SolveResult::clone(&a)))
+        let result = self.solve_internal(flows)?.0;
+        SOLVES.fetch_add(1, Ordering::Relaxed);
+        Ok(result)
     }
 
-    /// Incremental re-solve of a full-key miss.
+    /// The water-filling core, shared by solve and breakdown.
     ///
-    /// Flows are partitioned into connected components of the "shares a
-    /// resource" relation; each component is an independent max-min
-    /// water-filling problem (no step in one component can saturate a
-    /// resource of another), so the solver converges each component
-    /// separately and memoizes it under its own cache key. A later
-    /// solve that perturbs one flow — a `cxl-ctl` knob probe, a single
-    /// phase shifting its traffic — re-converges only the dirtied
-    /// component and replays every clean component from the cache.
+    /// The solver computes, per iteration, the *absolute* scale at
+    /// which each resource saturates — `σ_res = (cap − frozen) /
+    /// active-demand` — freezes the flows crossing the minimum-σ
+    /// resource at exactly that σ, and repeats.
     ///
-    /// The assembled result is a pure function of the flow set (cache
-    /// state can only change *when* a component was converged, never
-    /// the value it converged to), which preserves the bit-identical
-    /// serial/parallel guarantee of the experiment runner.
-    fn solve_incremental(
-        &self,
-        flows: &[FlowSpec],
-        keys: &[FlowKey],
-    ) -> Result<SolveResult, PerfError> {
-        use std::sync::atomic::Ordering;
-        if flows.len() <= 1 {
-            return Ok(self.solve_internal(flows)?.0);
-        }
-        // Paths depend on endpoints and mix, not offered rates, so the
-        // knob-probe pattern (one rate moves per solve) replays the
-        // whole path set from the memo.
-        let path_key = PathSetKey::of(self.fingerprint, keys);
-        let cached_paths = lock_path_cache().get(&path_key).cloned();
-        let paths: Arc<Vec<Path>> = match cached_paths {
-            Some(p) => p,
-            None => {
-                let built: Arc<Vec<Path>> = Arc::new(
-                    flows
-                        .iter()
-                        .map(|f| self.path(f.from, f.node, f.mix))
-                        .collect::<Result<_, _>>()?,
-                );
-                let mut cache = lock_path_cache();
-                if cache.len() < SOLVE_CACHE_CAP {
-                    cache.insert(path_key, built.clone());
-                }
-                built
-            }
-        };
-
-        // Union-find over flow indices, joined through shared resources
-        // (`owner[res]` = first flow seen crossing resource `res`).
-        let mut parent: Vec<usize> = (0..flows.len()).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let mut owner: Vec<usize> = vec![usize::MAX; self.resources.len()];
-        for (i, p) in paths.iter().enumerate() {
-            for s in &p.segments {
-                if owner[s.res] == usize::MAX {
-                    owner[s.res] = i;
-                } else {
-                    let (a, b) = (find(&mut parent, i), find(&mut parent, owner[s.res]));
-                    parent[a] = b;
-                }
-            }
-        }
-
-        // Components in order of their first member flow.
-        let mut comp_of_root = vec![usize::MAX; flows.len()];
-        let mut components: Vec<Vec<usize>> = Vec::new();
-        for i in 0..flows.len() {
-            let root = find(&mut parent, i);
-            if comp_of_root[root] == usize::MAX {
-                comp_of_root[root] = components.len();
-                components.push(Vec::new());
-            }
-            components[comp_of_root[root]].push(i);
-        }
-        if components.len() == 1 {
-            return Ok(self.solve_with_paths(flows, &paths)?.0);
-        }
-
-        let mut outcomes: Vec<Option<FlowOutcome>> = vec![None; flows.len()];
-        let mut utilization: Vec<(usize, (ResourceKind, f64))> = Vec::new();
-        for members in &components {
-            let sub_key = SolveKey {
-                fingerprint: self.fingerprint,
-                flows: members.iter().map(|&i| keys[i]).collect(),
-            };
-            let cached = lock_solve_cache().get(&sub_key).cloned();
-            let sub_result: Arc<SolveResult> = match cached {
-                Some(hit) => {
-                    COMPONENT_HITS.fetch_add(1, Ordering::Relaxed);
-                    obs::SOLVE_COMPONENT_HITS.add(1);
-                    hit
-                }
-                None => {
-                    let sub_flows: Vec<FlowSpec> = members.iter().map(|&i| flows[i]).collect();
-                    let sub_paths: Vec<Path> = members.iter().map(|&i| paths[i].clone()).collect();
-                    let r = Arc::new(self.solve_with_paths(&sub_flows, &sub_paths)?.0);
-                    COMPONENT_MISSES.fetch_add(1, Ordering::Relaxed);
-                    obs::SOLVE_COMPONENT_MISSES.add(1);
-                    let mut cache = lock_solve_cache();
-                    if cache.len() < SOLVE_CACHE_CAP {
-                        cache.insert(sub_key, r.clone());
-                    }
-                    r
-                }
-            };
-            for (&i, o) in members.iter().zip(sub_result.flows.iter()) {
-                outcomes[i] = Some(*o);
-            }
-            for &(kind, u) in &sub_result.utilization {
-                utilization.push((self.index[&kind], (kind, u)));
-            }
-        }
-        // Each used resource belongs to exactly one component; restore
-        // the monolithic solver's resource-index emission order.
-        utilization.sort_by_key(|&(idx, _)| idx);
-        Ok(SolveResult {
-            flows: outcomes
-                .into_iter()
-                .map(|o| o.expect("every flow belongs to exactly one component"))
-                .collect(),
-            utilization: utilization.into_iter().map(|(_, ku)| ku).collect(),
-        })
-    }
-
+    /// Per-resource demands are accumulated in one pass over the active
+    /// flows (flow order, segments in path order) rather than one scan
+    /// per resource: `O(active × segments + resources)` per iteration.
     #[allow(clippy::type_complexity)] // Internal plumbing shared by solve/breakdown.
     fn solve_internal(
         &self,
@@ -1097,33 +731,6 @@ impl MemSystem {
             .iter()
             .map(|f| self.path(f.from, f.node, f.mix))
             .collect::<Result<_, _>>()?;
-        let (result, used, write_used) = self.solve_with_paths(flows, &paths)?;
-        Ok((result, used, write_used, paths))
-    }
-
-    /// The water-filling core, over already-constructed paths.
-    ///
-    /// The solver computes, per iteration, the *absolute* scale at
-    /// which each resource saturates — `σ_res = (cap − frozen) /
-    /// active-demand` — freezes the flows crossing the minimum-σ
-    /// resource at exactly that σ, and repeats. Every quantity feeding
-    /// a flow's final scale (frozen-usage accumulation order, active
-    /// demand sums, σ comparisons) involves only flows of the same
-    /// connected resource-sharing component, in flow-index order, so
-    /// the result is **partition-invariant**: solving a component alone
-    /// produces bit-identical scales to solving it inside a larger
-    /// disjoint set. [`MemSystem::try_solve`]'s incremental per-
-    /// component re-solve rests on this invariant.
-    ///
-    /// Per-resource demands are accumulated in one pass over the active
-    /// flows (flow order, segments in path order) rather than one scan
-    /// per resource: `O(active × segments + resources)` per iteration.
-    #[allow(clippy::type_complexity)] // Internal plumbing shared by solve/breakdown.
-    fn solve_with_paths(
-        &self,
-        flows: &[FlowSpec],
-        paths: &[Path],
-    ) -> Result<(SolveResult, Vec<f64>, Vec<f64>), PerfError> {
         let nres = self.resources.len();
         let mut frozen = vec![0.0f64; nres]; // Usage pinned by frozen flows.
         let mut scale = vec![0.0f64; flows.len()];
@@ -1183,9 +790,6 @@ impl MemSystem {
             }
         }
 
-        // Final usage: one pass over all flows in index order (again
-        // partition-invariant — a resource only ever sees its own
-        // component's flows).
         let mut used = vec![0.0f64; nres];
         let mut write_used = vec![0.0f64; nres];
         for (i, f) in flows.iter().enumerate() {
@@ -1196,8 +800,6 @@ impl MemSystem {
             }
         }
 
-        // Wall class: how many solves run (vs. hit the cache) depends
-        // on scheduling, so cumulative iteration counts do too.
         obs::SOLVER_ITERATIONS.add(iterations);
 
         // Compute utilization and per-flow latency.
@@ -1240,19 +842,8 @@ impl MemSystem {
             },
             used,
             write_used,
+            paths,
         ))
-    }
-
-    /// Reference monolithic solve: the full flow set converged in one
-    /// water-filling run, bypassing both the memo cache and the
-    /// component decomposition of [`MemSystem::try_solve`].
-    ///
-    /// Because the solver's absolute-scale formulation is partition-
-    /// invariant (see the `solve_with_paths` internals), the
-    /// incremental path is **bit-identical** to this reference; benches
-    /// measure the speed gap and differential tests pin the equality.
-    pub fn solve_reference(&self, flows: &[FlowSpec]) -> Result<SolveResult, PerfError> {
-        Ok(self.solve_internal(flows)?.0)
     }
 
     /// Per-resource latency contributions of one flow at the solved
@@ -1375,8 +966,6 @@ mod tests {
         let dw = direct.idle_latency_ns(s0(), pool_node, wr);
         let pw = pooled.idle_latency_ns(s0(), pool_node, wr);
         assert!((dw - pw).abs() < 1e-9, "NT write direct {dw} pooled {pw}");
-        // The solve cache must never mix the two models.
-        assert_ne!(direct.fingerprint, pooled.fingerprint);
     }
 
     #[test]
@@ -1772,41 +1361,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_solve_cache_recovers_and_counts() {
-        // A panic while holding the cache lock (here: a sacrificial
-        // thread) must not cascade into every later solve. The next
-        // lock clears the poison, drops the entries, and keeps going.
-        let reg = std::sync::Arc::new(cxl_obs::Registry::new());
-        let m = sys();
-        let f = FlowSpec::new(s0(), dram0(), AccessMix::read_only(), 10.0);
-        let clean = m.solve(std::slice::from_ref(&f));
-
-        let _ = std::thread::spawn(|| {
-            let _guard = solve_cache().lock().unwrap();
-            panic!("poisoning the solve cache on purpose");
-        })
-        .join();
-        assert!(solve_cache().is_poisoned(), "setup failed to poison");
-
-        let guard = cxl_obs::scope(reg.clone());
-        let after = m.solve(std::slice::from_ref(&f));
-        drop(guard);
-        assert_eq!(
-            clean.flows[0].achieved_gbps.to_bits(),
-            after.flows[0].achieved_gbps.to_bits(),
-            "recovered cache must not change results"
-        );
-        assert!(!solve_cache().is_poisoned(), "poison bit must clear");
-        assert!(
-            reg.counter("perf/solve_cache_poison_recoveries")
-                .unwrap_or(0)
-                >= 1,
-            "recovery must be observable"
-        );
-    }
-
-    #[test]
-    fn degraded_system_gets_its_own_cache_fingerprint() {
+    fn x4_link_solves_below_half_the_healthy_peak() {
         let healthy = MemSystem::new(&Topology::paper_testbed(SncMode::Disabled));
         let mut topo = Topology::paper_testbed(SncMode::Disabled);
         topo.cxl_device_mut(NodeId(2))
@@ -1816,8 +1371,8 @@ mod tests {
         let degraded = MemSystem::new(&topo);
         let mix = AccessMix::read_only();
         let flow = [FlowSpec::new(s0(), NodeId(2), mix, 10_000.0)];
-        // Same flow key, different fingerprint: the memoized healthy
-        // answer must not leak into the degraded solve.
+        // The same flow against the healthy and the degraded model:
+        // each system solves against its own resource graph.
         let bw_h = healthy.solve(&flow).flows[0].achieved_gbps;
         let bw_d = degraded.solve(&flow).flows[0].achieved_gbps;
         assert!(bw_d < bw_h * 0.5, "healthy {bw_h} degraded {bw_d}");
